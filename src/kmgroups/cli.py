@@ -37,6 +37,8 @@ from .groupgen import (
 )
 from .verifier import (
     OracleMismatch,
+    SignAmbiguous,
+    SignNone,
     kernel_probe,
     resolve_commutator_sign,
     verify_all,
@@ -199,6 +201,11 @@ def cmd_commutator_signs(args) -> int:
             eps = resolve_commutator_sign(module, i, j)
         except WindowEmpty:
             return EXIT_WINDOW_EMPTY
+        except SignAmbiguous:
+            eps = None  # both signs verify, as R11 reports it in `verify`
+        except SignNone as exc:
+            _emit({"error": f"SignNone: {exc}"}, args.out)
+            return EXIT_RELATION_FAILED
         signs.append({"pair": [i + 1, j + 1], "sign": eps})
     payload = {
         "diagram": gcm_to_json(gcm),

@@ -7,6 +7,7 @@ arbitrary-precision ints) or plain nested lists for the small routines.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -103,8 +104,7 @@ def hnf_rows(mat, pivot_limit: int | None = None) -> list[list[int]]:
 
     With pivot_limit, only columns < pivot_limit are eligible as pivots and
     rows vanishing on those columns are dropped; the remaining columns are
-    carried along unchanged (used to transport basis lifts through the
-    reduction).
+    carried along unchanged.
 
     The heavy lifting is delegated to sympy's HNF (the naive gcd-elimination
     version below suffers catastrophic coefficient swell on wide slices).
@@ -156,8 +156,6 @@ def hnf_rows(mat, pivot_limit: int | None = None) -> list[list[int]]:
 
 def hnf_rows_gcd(mat, pivot_limit: int | None = None) -> list[list[int]]:
     """Naive gcd-elimination HNF; small-input reference implementation."""
-    import math
-
     rows = []
     for row in mat:
         if any(row):
@@ -221,6 +219,48 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int]:
     if old_r < 0:
         old_x, old_y = -old_x, -old_y
     return old_x, old_y
+
+
+def solve_left_rational(mat, rhs) -> tuple[int, list[list[int]]]:
+    """Solve x @ mat == rhs over Q for square nonsingular integer mat.
+
+    rhs is a list of integer rows.  Returns (den, num) with x = num / den,
+    den > 0 the least common denominator.  Fraction-free Gauss-Jordan
+    (Bareiss) on [mat^T | rhs^T]: every intermediate entry is a minor, so
+    all divisions are exact and no Fraction is ever built.  Raises
+    ZeroDivisionError on singular mat.
+    """
+    n = len(mat)
+    k_rhs = len(rhs)
+    a = [
+        [int(mat[j][i]) for j in range(n)] + [int(rhs[t][i]) for t in range(k_rhs)]
+        for i in range(n)
+    ]
+    width = n + k_rhs
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        a[k], a[piv] = a[piv], a[k]
+        akk, rowk = a[k][k], a[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row, aik = a[i], a[i][k]
+            for j in range(k + 1, width):
+                row[j] = (akk * row[j] - aik * rowk[j]) // prev
+            row[k] = 0
+            if i < k:
+                row[i] = akk  # earlier pivots track the current minor
+        prev = akk
+    # Now a = [d*I | d * x^T] with d = +-det(mat).
+    d = a[0][0] if n else 1
+    num = [[a[i][n + t] for i in range(n)] for t in range(k_rhs)]
+    g = math.gcd(d, *(v for row in num for v in row))
+    if d < 0:
+        g = -g
+    return d // g, [[v // g for v in row] for row in num]
 
 
 def solve_left_upper_triangular(h: np.ndarray, rhs, denominator: int = 1):

@@ -151,9 +151,10 @@ def is_prenilpotent(
 
     alpha != -beta with a finite positive real-root interval
     (Z_{>0} alpha + Z_{>0} beta) cap Delta^re_+.  For pairing >= -1 the
-    interval is provably finite; for pairing <= -2 we fall back to scanning
-    the norm equation for real-root solutions, whose presence makes the
-    interval infinite in the simply-laced hyperbolic setting.
+    interval is provably finite.  For pairing p <= -2 the pair spans an
+    affine or hyperbolic rank-2 root system, whose real roots are
+    unbounded; its member s_beta(alpha) = alpha + |p| beta (m = 1, n = |p|)
+    is a real root, so the pair is never prenilpotent.
     """
     for r in (alpha, beta):
         if root_set is not None and r not in root_set and not is_real_root(gcm, r):
@@ -162,23 +163,7 @@ def is_prenilpotent(
             raise InputNotRealRoot(f"{r} is not a real root")
     if alpha == -beta:
         return False
-    pairing = bilinear_form(gcm, alpha.coeffs, beta.coeffs)
-    if pairing >= -1:
-        return True
-    # pairing <= -2: solutions of m^2 + mn*p + n^2 = 1 come in unbounded
-    # families; any real-root member makes the interval infinite.
-    for m, n in _norm_equation_solutions(pairing, bound=24):
-        v = alpha.scale(m) + beta.scale(n)
-        if is_real_root(gcm, v):
-            return False
-    return True
-
-
-def _norm_equation_solutions(pairing: int, bound: int):
-    for m in range(1, bound + 1):
-        for n in range(1, bound + 1):
-            if m * m + m * n * pairing + n * n == 1:
-                yield m, n
+    return bilinear_form(gcm, alpha.coeffs, beta.coeffs) >= -1
 
 
 def commutation_interval(
@@ -194,13 +179,11 @@ def commutation_interval(
     """
     if not is_prenilpotent(gcm, alpha, beta, root_set):
         raise NotPrenilpotent(f"pair {alpha}, {beta} is not prenilpotent")
-    pairing = bilinear_form(gcm, alpha.coeffs, beta.coeffs)
-    # For pairing >= -1 the form m^2 + mn*p + n^2 exceeds 1 once max(m,n) >= 2,
-    # so the scan bound below is exhaustive.
-    out = []
-    for m, n in _norm_equation_solutions(pairing, bound=3):
-        v = alpha.scale(m) + beta.scale(n)
-        if v in root_set or is_real_root(gcm, v):
-            if v.is_positive():
-                out.append((m, n, v))
-    return sorted(out)
+    # For pairing p >= -1 and m, n >= 1, m^2 + mn*p + n^2 = 1 only at
+    # p = -1, m = n = 1: the interval is at most {alpha + beta}.
+    if bilinear_form(gcm, alpha.coeffs, beta.coeffs) != -1:
+        return []
+    v = alpha + beta
+    if v.is_positive() and (v in root_set or is_real_root(gcm, v)):
+        return [(1, 1, v)]
+    return []

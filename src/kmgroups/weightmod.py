@@ -9,8 +9,12 @@ alpha_i):
   3. embed the slice of the irreducible quotient through its pairing vector
      against all monomials (this kills exactly the Gram radical);
   4. the Z-lattice basis is the Hermite normal form of the lattice spanned
-     by the images of all divided-power monomials f_{i1}^(m1)...f_{ik}^(mk)
-     applied to the highest-weight vector;
+     by the pairing vectors of all divided-power monomials
+     f_{i1}^(m1)...f_{ik}^(mk) applied to the highest-weight vector; a lift
+     of each basis vector to the Verma module is re-derived from the r Gram
+     rows at the pivot columns (an r x r rational solve with one
+     denominator per slice, checked on every column), since a lift only
+     matters modulo the Gram radical;
   5. operator matrices for e_i^(m), f_i^(m) are assembled against these
      bases and checked to be integral (the divided powers preserve the
      lattice; a non-integral entry would be a bug, not a rounding issue).
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cartan import GeneralizedCartanMatrix, NotSimplyLaced
-from .linalg import hnf_rows, obj_array, zeros_obj
+from .linalg import hnf_rows, obj_array, solve_left_rational, zeros_obj
 
 
 class NonDominantWeight(ValueError):
@@ -82,7 +86,10 @@ class WeightSlice:
     rank: int
     denom: int  # common denominator L of the divided-monomial images
     basis_psi: np.ndarray  # r x n ints: L * (pairing vector of basis vector a)
-    basis_lift: np.ndarray  # r x n ints: L * (Verma coefficients of a lift)
+    # r x n ints: D * L * (Verma coefficients of a lift of basis vector a),
+    # nonzero only on the r monomials the lifts are combined from.
+    basis_lift: np.ndarray
+    lift_den: int  # D: basis_lift @ gram == D * basis_psi
     pivots: list[int]  # pivot column of each basis_psi row
 
     @property
@@ -334,24 +341,19 @@ def _build_gram(mod, gcm, k, mons, idx, index, gram):
 def _build_slice(k, mons, idx, g) -> WeightSlice:
     n = len(mons)
     divmons = _divided_monomials(k)
-    denom = 1
-    for dm in divmons:
-        d = math.prod(math.factorial(m) for _, m in dm)
-        denom = denom * d // math.gcd(denom, d)
+    facts = [math.prod(math.factorial(m) for _, m in dm) for dm in divmons]
+    denom = math.lcm(*facts)
     rows = []
-    for dm in divmons:
-        word = tuple(i for i, m in dm for _ in range(m))
-        scale = denom // math.prod(math.factorial(m) for _, m in dm)
-        a = idx[word]
-        row = [scale * int(v) for v in g[a, :]]
-        lift = [0] * n
-        lift[a] = scale
-        rows.append(row + lift)
-    basis = hnf_rows(rows, pivot_limit=n)
+    for dm, fact in zip(divmons, facts):
+        a = idx[tuple(i for i, m in dm for _ in range(m))]
+        row = [(denom // fact) * int(v) for v in g[a, :]]
+        if any(row):  # a divided monomial in the Gram radical adds nothing
+            rows.append(row)
+    basis = hnf_rows(rows) if rows else []
     r = len(basis)
-    psi = obj_array([b[:n] for b in basis]) if r else zeros_obj(0, n)
-    lift = obj_array([b[n:] for b in basis]) if r else zeros_obj(0, n)
+    psi = obj_array(basis) if r else zeros_obj(0, n)
     pivots = [next(j for j in range(n) if basis[a][j]) for a in range(r)]
+    lift_den, lift = _lift_basis(g, psi, pivots)
     return WeightSlice(
         depth_vector=k,
         monomials=mons,
@@ -360,8 +362,35 @@ def _build_slice(k, mons, idx, g) -> WeightSlice:
         denom=denom,
         basis_psi=psi,
         basis_lift=lift,
+        lift_den=lift_den,
         pivots=pivots,
     )
+
+
+def _lift_basis(g, psi, pivots):
+    """Verma lifts of the basis vectors, as (lift_den, r x n ints).
+
+    A lift only matters modulo the Gram radical, so any Verma vector with
+    the right pairing vector will do.  The pivots are the column rank
+    profile of the Gram matrix, hence by symmetry its row rank profile, so
+    the block gram[pivots][:, pivots] is nonsingular.  Row t of the result
+    is lift_den * x[t], placed on the pivot monomials, where
+    x @ gram[pivots][:, pivots] == psi[:, pivots].
+    """
+    r, n = psi.shape
+    lift = zeros_obj(r, n)
+    if r == 0:
+        return 1, lift
+    lift_den, coeffs = solve_left_rational(
+        [[int(g[a, p]) for p in pivots] for a in pivots],
+        [[int(psi[t, p]) for p in pivots] for t in range(r)],
+    )
+    for t in range(r):
+        for a, c in zip(pivots, coeffs[t]):
+            lift[t, a] = c
+    if not np.array_equal(lift[:, pivots] @ g[pivots, :], lift_den * psi):
+        raise ZFormError("basis lift does not reproduce its pairing vector")
+    return lift_den, lift
 
 
 def _express_in_basis(sl: WeightSlice, num, den: int):
@@ -406,7 +435,7 @@ def _build_operator_blocks(mod: TruncatedModule, gram, index):
                 else:
                     tgt_idx = index[tgt_key]
                     block = zeros_obj(tgt.rank, src.rank)
-                    den = src.denom * math.factorial(m)
+                    den = src.denom * src.lift_den * math.factorial(m)
                     g2 = tgt.gram
                     for a in range(src.rank):
                         num = _pair_prepended(
@@ -428,7 +457,7 @@ def _build_operator_blocks(mod: TruncatedModule, gram, index):
                 if tgt.rank == 0:
                     block = zeros_obj(0, src.rank)
                 else:
-                    den = src.denom * math.factorial(m)
+                    den = src.denom * src.lift_den * math.factorial(m)
                     block = zeros_obj(tgt.rank, src.rank)
                     for a in range(src.rank):
                         num = images[a] @ tgt.gram

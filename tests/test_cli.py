@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from kmgroups import cli
+from kmgroups.cartan import e_gcm, gcm_to_json
 from kmgroups.cli import (
     EXIT_INVALID,
     EXIT_IO,
@@ -10,6 +12,7 @@ from kmgroups.cli import (
     EXIT_WINDOW_EMPTY,
     main,
 )
+from kmgroups.verifier import SignNone
 
 A2 = {"matrix": [[2, -1], [-1, 2]]}
 B2 = {"matrix": [[2, -2], [-1, 2]]}
@@ -174,6 +177,38 @@ def test_commutator_signs_command(capsys, a2_file):
     payload = json.loads(out)
     assert [s["pair"] for s in payload["signs"]] == [[1, 2], [2, 1]]
     assert all(s["sign"] in (1, -1) for s in payload["signs"])
+
+
+def test_commutator_signs_ambiguous_pair_reports_null(capsys, tmp_path):
+    # E10, lambda = omega_1, depth 2: away from node 1 the truncation is too
+    # small to tell the two signs apart, so both R11 variants verify there.
+    p = tmp_path / "e10.json"
+    p.write_text(json.dumps(gcm_to_json(e_gcm(10))))
+    code, out = run(
+        capsys,
+        [
+            "commutator-signs", "--gcm", str(p),
+            "--lambda", "1,0,0,0,0,0,0,0,0,0", "--depth", "2",
+        ],
+    )
+    assert code == EXIT_OK
+    signs = {tuple(s["pair"]): s["sign"] for s in json.loads(out)["signs"]}
+    assert len(signs) == 18
+    assert signs[(1, 2)] in (1, -1) and signs[(2, 1)] in (1, -1)
+    assert signs[(2, 3)] is None and signs[(3, 2)] is None
+
+
+def test_commutator_signs_no_sign_is_a_failure(capsys, a2_file, monkeypatch):
+    def no_sign(module, i, j):
+        raise SignNone(f"neither sign verifies for pair ({i}, {j})")
+
+    monkeypatch.setattr(cli, "resolve_commutator_sign", no_sign)
+    code, out = run(
+        capsys,
+        ["commutator-signs", "--gcm", a2_file, "--lambda", "1,1", "--depth", "4"],
+    )
+    assert code == EXIT_RELATION_FAILED
+    assert json.loads(out)["error"].startswith("SignNone:")
 
 
 def test_word_command(capsys, a2_file):

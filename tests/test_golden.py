@@ -1,0 +1,57 @@
+"""Byte-for-byte golden outputs of the CLI.
+
+Every file under tests/golden/ is the exact stdout of `kmgroups <command>`
+for the case named in GOLDEN.  The rank-4 depth-5 module output (187 kB)
+is stored as the SHA-256 of those bytes.  A refactor or speed-up of any
+layer must leave all of them identical: the integers they hold are the
+Z-form bases, operator blocks, relation reports and kernel verdicts.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from kmgroups.cartan import gcm_to_json, path_gcm, triangle_with_pendant_gcm
+from kmgroups.cli import EXIT_OK, main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+DIAGRAMS = {
+    "a2": path_gcm(2),
+    "a3": path_gcm(3),
+    "rank4": triangle_with_pendant_gcm(),
+}
+
+# (command, diagram, lambda, depth, stored form)
+GOLDEN = [
+    ("module", "a2", "1,1", 4, "json"),
+    ("module", "a3", "1,1,1", 5, "json"),
+    ("module", "rank4", "1,1,1,1", 4, "json"),
+    ("verify", "a2", "1,1", 4, "json"),
+    ("kernel", "a2", "1,1", 4, "json"),
+    ("verify", "rank4", "1,1,1,1", 4, "json"),
+    ("kernel", "rank4", "1,1,1,1", 4, "json"),
+    ("module", "rank4", "1,1,1,1", 5, "sha256"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,diagram,lam,depth,form",
+    GOLDEN,
+    ids=[f"{c}-{g}-d{d}" for c, g, _, d, _ in GOLDEN],
+)
+def test_cli_output_matches_golden(capsys, tmp_path, command, diagram, lam, depth, form):
+    gcm_path = tmp_path / f"{diagram}.json"
+    gcm_path.write_text(json.dumps(gcm_to_json(DIAGRAMS[diagram])))
+    code = main(
+        [command, "--gcm", str(gcm_path), "--lambda", lam, "--depth", str(depth)]
+    )
+    assert code == EXIT_OK
+    out = capsys.readouterr().out.encode()
+    golden = GOLDEN_DIR / f"{command}_{diagram}_d{depth}.{form}"
+    if form == "sha256":
+        assert hashlib.sha256(out).hexdigest() == golden.read_text().strip()
+    else:
+        assert out == golden.read_bytes()

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from kmgroups.linalg import (
     leading_principal_minors,
     obj_array,
     row_rank_and_pivots,
+    solve_left_rational,
     solve_left_upper_triangular,
     solve_symmetric_rational,
     zeros_obj,
@@ -144,6 +146,27 @@ def test_hnf_no_coefficient_swell():
     basis = hnf_rows(rows, pivot_limit=nrows)
     assert len(basis) == rank
     assert all(abs(v) < 10**20 for row in basis for v in row)
+
+
+def test_solve_left_rational_against_fractions():
+    rng2 = random.Random(11)
+    solved = 0
+    for _ in range(200):
+        n, k = rng2.randint(1, 6), rng2.randint(1, 3)
+        mat = [[rng2.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if bareiss_det(mat) == 0:
+            continue
+        rhs = [[rng2.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+        den, num = solve_left_rational(mat, rhs)
+        assert den > 0 and math.gcd(den, *(v for row in num for v in row)) == 1
+        for t in range(k):
+            for j in range(n):
+                lhs = sum(Fraction(num[t][i], den) * mat[i][j] for i in range(n))
+                assert lhs == rhs[t][j]
+        solved += 1
+    assert solved > 100
+    with pytest.raises(ZeroDivisionError):
+        solve_left_rational([[1, 2], [2, 4]], [[1, 1]])
 
 
 def test_solve_left_upper_triangular():

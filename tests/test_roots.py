@@ -217,3 +217,15 @@ def test_deep_pairing_consistent_with_family_scan():
                 assert not verdict
             checked += 1
     assert checked > 0
+
+
+def test_large_pairing_is_not_prenilpotent():
+    # (alpha|beta) = -25 lies beyond any bounded m, n <= 24 scan of the norm
+    # equation; s_beta(alpha) = alpha + 25 beta is still a real root.
+    g = triangle_with_pendant_gcm()
+    a, b = Root((2, 3, 5, 2)), Root((8, 6, 5, 2))
+    assert is_real_root(g, a) and is_real_root(g, b)
+    assert bilinear_form(g, a.coeffs, b.coeffs) == -25
+    assert is_real_root(g, a + b.scale(25))
+    assert not is_prenilpotent(g, a, b)
+    assert not is_prenilpotent(g, b, a)

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from kmgroups.cartan import NotSimplyLaced, path_gcm, triangle_with_pendant_gcm, validate_gcm
+from kmgroups.cartan import (
+    NotSimplyLaced,
+    e_gcm,
+    path_gcm,
+    triangle_with_pendant_gcm,
+    validate_gcm,
+)
 from kmgroups.weightmod import (
     DepthOverflow,
     DominantWeight,
@@ -11,6 +17,7 @@ from kmgroups.weightmod import (
     SliceOutOfRange,
     TruncatedModule,
     Weight,
+    _build_operator_blocks,
     build_module,
     coroot_pairing,
     divided_power_matrix,
@@ -201,3 +208,38 @@ def test_rank4_first_weight_spaces():
         assert m.rank_at(e) == 1
         # f_i^2 v_lambda = 0 for lambda_i = 1
         assert m.rank_at(tuple(2 * c for c in e)) == 0
+
+
+@pytest.mark.parametrize(
+    "gcm,lam,depth",
+    [
+        (triangle_with_pendant_gcm(), (1, 1, 1, 1), 5),
+        (e_gcm(10), (1,) * 10, 3),
+    ],
+    ids=["rank4-d5", "e10-d3"],
+)
+def test_basis_lift_pairs_to_scaled_basis(gcm, lam, depth):
+    # The stored lifts are lift_den * (Verma vectors) whose pairing vectors
+    # are the basis rows: basis_lift @ gram == lift_den * basis_psi exactly.
+    m = build_module(gcm, DominantWeight(lam), depth)
+    for sl in m.slices.values():
+        assert sl.basis_lift.shape == sl.basis_psi.shape == (sl.rank, len(sl.monomials))
+        assert sl.lift_den >= 1
+        assert np.array_equal(sl.basis_lift @ sl.gram, sl.lift_den * sl.basis_psi)
+
+
+def test_operator_blocks_divide_by_lift_den():
+    # Every slice met so far solves with lift_den == 1, so scale the lifts
+    # by hand: the operator blocks must not change.
+    m = build_module(triangle_with_pendant_gcm(), DominantWeight((1, 1, 1, 1)), 4)
+    before = module_to_json(m)
+    for sl in m.slices.values():
+        sl.basis_lift = 3 * sl.basis_lift
+        sl.lift_den *= 3
+    m.ops.clear()
+    gram = {k: sl.gram for k, sl in m.slices.items()}
+    index = {
+        k: {w: a for a, w in enumerate(sl.monomials)} for k, sl in m.slices.items()
+    }
+    _build_operator_blocks(m, gram, index)
+    assert module_to_json(m) == before
