@@ -1,10 +1,11 @@
 """Byte-for-byte golden outputs of the CLI.
 
 Every file under tests/golden/ is the exact stdout of `kmgroups <command>`
-for the case named in GOLDEN.  The rank-4 depth-5 module output (187 kB)
-is stored as the SHA-256 of those bytes.  A refactor or speed-up of any
-layer must leave all of them identical: the integers they hold are the
-Z-form bases, operator blocks, relation reports and kernel verdicts.
+for the case named in GOLDEN.  The rank-4 depth-5 outputs (`module`,
+187 kB, and `verify`, 11 kB) are stored as the SHA-256 of those bytes.
+A refactor or speed-up of any layer must leave all of them identical: the
+integers they hold are the Z-form bases, operator blocks, relation reports
+and kernel verdicts.
 """
 
 import hashlib
@@ -34,6 +35,9 @@ GOLDEN = [
     ("verify", "rank4", "1,1,1,1", 4, "json"),
     ("kernel", "rank4", "1,1,1,1", 4, "json"),
     ("module", "rank4", "1,1,1,1", 5, "sha256"),
+    ("verify", "a3", "1,1,1", 5, "json"),
+    ("kernel", "a3", "1,1,1", 5, "json"),
+    ("verify", "rank4", "1,1,1,1", 5, "sha256"),
 ]
 
 
