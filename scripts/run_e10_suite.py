@@ -20,7 +20,7 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     module = build_module(e_gcm(10), DominantWeight((1,) * 10), 4)
-    report = verify_all(module, jobs=4)
+    report = verify_all(module)
     payload = report.to_json()
     payload["elapsed_seconds"] = round(time.time() - t0, 2)
     path = out_dir / "e10_depth4.json"

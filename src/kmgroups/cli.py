@@ -34,6 +34,7 @@ from .groupgen import (
     WordSyntaxError,
     evaluate_word,
     parse_word,
+    read_column,
 )
 from .verifier import (
     OracleMismatch,
@@ -157,9 +158,7 @@ def cmd_module(args) -> int:
 def cmd_verify(args) -> int:
     _, _, module = _build(args)
     try:
-        report = verify_all(
-            module, min_window=args.min_window, jobs=args.jobs
-        )
+        report = verify_all(module, min_window=args.min_window)
     except OracleMismatch as exc:
         _emit({"error": f"OracleMismatch: {exc}"}, args.out)
         return EXIT_ORACLE_MISMATCH
@@ -225,20 +224,19 @@ def cmd_word(args) -> int:
         raise _CliError(EXIT_INVALID, f"{type(exc).__name__}: {exc}")
     mat = evaluate_word(module, symbols)
     window = mat.valid_depth()
+    by_source = mat.by_source()
     columns = []
-    for k in module.weight_keys():
-        for c in range(module.slices[k].rank):
-            if not mat.exact[k][c]:
-                continue
-            columns.append(
-                {
-                    "source": {"depth_vector": list(k), "index": c},
-                    "image": [
-                        {"depth_vector": list(t), "entries": list(v)}
-                        for t, v in sorted(mat.column(k, c).items())
-                    ],
-                }
-            )
+    for k, c in mat.exact_columns():
+        image = read_column(by_source.get(k, ()), c)
+        columns.append(
+            {
+                "source": {"depth_vector": list(k), "index": c},
+                "image": [
+                    {"depth_vector": list(t), "entries": list(v)}
+                    for t, v in sorted(image.items())
+                ],
+            }
+        )
     payload = {
         "diagram": gcm_to_json(gcm),
         "lambda": list(lam.coords),
@@ -294,7 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify the relations R1-R12")
     add_common(p, needs_lambda=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored: verification runs in "
+        "one thread",
+    )
     p.add_argument(
         "--min-window",
         type=int,

@@ -10,6 +10,14 @@ the flags: a column of a product is exact when the inner factor's column is
 exact and every basis vector it touches sits in an exact column of the
 outer factor.
 
+Every per-column operation works one source slice at a time.  A product
+groups the inner factor's blocks by source; a column of source src can
+only touch rows of the blocks (mid, src), so only those are scanned, and
+only at the rows of mid whose columns are inexact in the outer factor.
+Column reads group a matrix's blocks by source once per comparison.  The
+groupings are built per call and never stored on the matrix: generator
+matrices are cached for the whole run.
+
 The "window" of a matrix is the largest depth d such that all columns of
 depth <= d are exact; equality of two group elements is only asserted on
 the intersection of their windows.
@@ -84,54 +92,61 @@ class WindowedMatrix:
             return zeros_obj(self.module.rank_at(tgt), self.module.rank_at(src))
         return b
 
-    def column(self, src, c) -> dict:
-        """Nonzero entries of column c of source slice src, keyed by target."""
-        out = {}
-        for (tgt, s), blk in self.blocks.items():
-            if s != src:
-                continue
-            col = blk[:, c]
-            if any(col):
-                out[tgt] = tuple(int(v) for v in col)
+    def by_source(self) -> dict:
+        """The blocks grouped by source slice: {src: [(tgt, block), ...]}."""
+        out: dict = {}
+        for (tgt, src), blk in self.blocks.items():
+            out.setdefault(src, []).append((tgt, blk))
         return out
+
+    def column(self, src, c) -> dict:
+        """Nonzero entries of column c of source slice src, keyed by target.
+
+        To read many columns, group once with by_source() and read each
+        with read_column().
+        """
+        return read_column(
+            [(tgt, blk) for (tgt, s), blk in self.blocks.items() if s == src], c
+        )
 
     def __matmul__(self, other: "WindowedMatrix") -> "WindowedMatrix":
         if other.module is not self.module:
             raise ValueError("matrices act on different modules")
-        mod = self.module
-        by_src: dict = {}
-        for (tgt, mid), blk in self.blocks.items():
-            by_src.setdefault(mid, []).append((tgt, blk))
+        outer_by_mid = self.by_source()
+        inner_by_src: dict = {}
         blocks: dict = {}
-        exact: dict = {}
+        summed = set()  # only a sum of nonzero products can vanish
         for (mid, src), inner in other.blocks.items():
-            for tgt, outer in by_src.get(mid, []):
+            inner_by_src.setdefault(src, []).append((mid, inner))
+            for tgt, outer in outer_by_mid.get(mid, ()):
                 prod = outer @ inner
-                if not prod.any():
+                if not any(prod.flat):
                     continue
-                if (tgt, src) in blocks:
-                    blocks[(tgt, src)] = blocks[(tgt, src)] + prod
+                key = (tgt, src)
+                if key in blocks:
+                    blocks[key] = blocks[key] + prod
+                    summed.add(key)
                 else:
-                    blocks[(tgt, src)] = prod
-        for (tgt, src) in list(blocks):
-            if not blocks[(tgt, src)].any():
-                del blocks[(tgt, src)]
+                    blocks[key] = prod
+        for key in summed:
+            if not any(blocks[key].flat):
+                del blocks[key]
+        exact: dict = {}
         for src, flags in other.exact.items():
-            n = len(flags)
             out_flags = list(flags)
-            for c in range(n):
-                if not out_flags[c]:
+            for mid, inner in inner_by_src.get(src, ()):
+                # A column of inner touching a row of mid whose column is
+                # inexact in the outer factor is inexact in the product.
+                mid_flags = self.exact.get(mid)
+                bad = [
+                    r for r in range(inner.shape[0])
+                    if not (mid_flags and mid_flags[r])
+                ]
+                if not bad:
                     continue
-                for (mid, s), inner in other.blocks.items():
-                    if s != src:
-                        continue
-                    mid_flags = self.exact.get(mid)
-                    for r in range(inner.shape[0]):
-                        if inner[r, c] and not (mid_flags and mid_flags[r]):
-                            out_flags[c] = False
-                            break
-                    if not out_flags[c]:
-                        break
+                for c, ok in enumerate(out_flags):
+                    if ok and any(inner[r, c] for r in bad):
+                        out_flags[c] = False
             exact[src] = out_flags
         return WindowedMatrix(self.module, blocks, exact)
 
@@ -169,13 +184,32 @@ class WindowedMatrix:
             )
         compared = 0
         equal = True
-        for k in self.module.weight_keys():
-            for c in range(self.module.slices[k].rank):
-                if self.exact[k][c] and other.exact[k][c]:
-                    compared += 1
-                    if self.column(k, c) != other.column(k, c):
-                        equal = False
+        for _, _, mine, theirs in self.paired_columns(other):
+            compared += 1
+            if mine != theirs:
+                equal = False
         return equal, window, compared
+
+    def paired_columns(self, other: "WindowedMatrix"):
+        """Yield (src, c, column of self, column of other) for every column
+        exact in both, in weight_keys() order."""
+        mine, theirs = self.by_source(), other.by_source()
+        for k in self.module.weight_keys():
+            own, their = mine.get(k, ()), theirs.get(k, ())
+            for c, both in enumerate(zip(self.exact[k], other.exact[k])):
+                if all(both):
+                    yield k, c, read_column(own, c), read_column(their, c)
+
+
+def read_column(entries, c) -> dict:
+    """Nonzero entries of column c of one source slice's blocks, given as
+    [(tgt, block), ...], keyed by target."""
+    out = {}
+    for tgt, blk in entries:
+        col = blk[:, c]
+        if any(col):
+            out[tgt] = tuple(int(v) for v in col)
+    return out
 
 
 def _op_blocks(module, sign, i, m):
@@ -187,7 +221,7 @@ def chi_plus(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
     key = ("X+", i, int(t))
     if key in module._gen_cache:
         return module._gen_cache[key]
-    out = WindowedMatrix.identity(module)
+    out = WindowedMatrix.identity(module)  # a fresh one: its blocks are edited
     for k, sl in module.slices.items():
         if sl.rank == 0:
             continue
@@ -220,7 +254,7 @@ def chi_minus(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
     key = ("X-", i, int(t))
     if key in module._gen_cache:
         return module._gen_cache[key]
-    out = WindowedMatrix.identity(module)
+    out = WindowedMatrix.identity(module)  # a fresh one: its blocks are edited
     exact = {}
     for k, sl in module.slices.items():
         if sl.rank == 0:
@@ -299,11 +333,16 @@ def generator_matrix(module: TruncatedModule, sym: GeneratorSymbol) -> WindowedM
 
 
 def evaluate_word(module: TruncatedModule, symbols) -> WindowedMatrix:
-    """Product of generator matrices, left factor applied last."""
-    out = WindowedMatrix.identity(module)
+    """Product of generator matrices, left factor applied last.
+
+    The empty word gives the identity.  A one-letter word gives the cached
+    generator matrix itself, so callers must not modify the result.
+    """
+    out = None
     for sym in symbols:
-        out = out @ generator_matrix(module, sym)
-    return out
+        mat = generator_matrix(module, sym)
+        out = mat if out is None else out @ mat
+    return WindowedMatrix.identity(module) if out is None else out
 
 
 _TOKEN = re.compile(

@@ -125,7 +125,9 @@ def hnf_rows(mat, pivot_limit: int | None = None) -> list[list[int]]:
     inv = [0] * ncols
     for pos, c in enumerate(perm):
         inv[c] = pos
-    data = [[ZZ(row[c]) for c in perm] for row in rows]
+    # The entries are Python ints already: ZZ.dtype converts them without
+    # the domain dispatch of ZZ(v), which costs ~5x as much per entry.
+    data = [[ZZ.dtype(row[c]) for c in perm] for row in rows]
     A = DomainMatrix(data, (len(rows), ncols), ZZ)
     H = _dm_hnf(A.transpose()).transpose()
     out = []

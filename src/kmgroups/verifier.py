@@ -161,23 +161,22 @@ class RelationResult:
 def _compare(module, lhs_word, rhs_word, min_window):
     lhs = evaluate_word(module, lhs_word)
     rhs = evaluate_word(module, rhs_word)
+    return _compare_matrices(lhs, rhs, min_window)
+
+
+def _compare_matrices(lhs, rhs, min_window):
+    """(equal, window, compared, witness) of lhs against rhs; the witness is
+    the first mutually exact column on which they differ."""
     equal, window, compared = lhs.equal_on_window(rhs, min_window=min_window)
     witness = None
     if not equal:
-        for k in module.weight_keys():
-            for c in range(module.slices[k].rank):
-                if (
-                    lhs.exact[k][c]
-                    and rhs.exact[k][c]
-                    and lhs.column(k, c) != rhs.column(k, c)
-                ):
-                    witness = {
-                        "column": {"depth_vector": list(k), "index": c},
-                        "lhs_image": _col_json(lhs.column(k, c)),
-                        "rhs_image": _col_json(rhs.column(k, c)),
-                    }
-                    break
-            if witness:
+        for k, c, left, right in lhs.paired_columns(rhs):
+            if left != right:
+                witness = {
+                    "column": {"depth_vector": list(k), "index": c},
+                    "lhs_image": _col_json(left),
+                    "rhs_image": _col_json(right),
+                }
                 break
     return equal, window, compared, witness
 
@@ -189,52 +188,54 @@ def _col_json(col):
     ]
 
 
+def _r11_compare(module: TruncatedModule, i: int, j: int, min_window: int):
+    """Compare both sides of R11 on (i, j) for sign +1, then -1.
+
+    The commutator side does not depend on the sign and is evaluated once.
+    Returns ({sign: _compare_matrices outcome}, verified signs); raises
+    WindowEmpty if a joint window is below min_window.
+    """
+    lhs = evaluate_word(module, relation_words("R11", (i, j))[0])
+    outcomes = {}
+    for sign in (1, -1):
+        rhs = evaluate_word(module, relation_words("R11", (i, j), sign)[1])
+        outcomes[sign] = _compare_matrices(lhs, rhs, min_window)
+    good = [sign for sign in (1, -1) if outcomes[sign][0]]
+    return outcomes, good
+
+
 def verify_relation(
     module: TruncatedModule, rid: str, nodes, min_window: int = 0
 ) -> RelationResult:
     nodes = tuple(nodes)
-    if rid == "R11":
-        statuses = {}
-        try:
-            for sign in (1, -1):
-                lhs, rhs = relation_words(rid, nodes, sign)
-                statuses[sign] = _compare(module, lhs, rhs, min_window)
-        except WindowEmpty:
-            return RelationResult(rid, nodes, "window_empty")
-        good = [s for s in (1, -1) if statuses[s][0]]
-        if good:
-            s = good[0] if len(good) == 1 else None
-            _, window, compared, _ = statuses[good[0]]
-            return RelationResult(
-                rid, nodes, "verified", window, compared, sign=s
-            )
-        _, window, compared, witness = statuses[1]
-        return RelationResult(
-            rid, nodes, "failed", window, compared, witness=witness
-        )
-    lhs, rhs = relation_words(rid, nodes)
     try:
-        equal, window, compared, witness = _compare(module, lhs, rhs, min_window)
+        if rid == "R11":
+            outcomes, good = _r11_compare(module, *nodes, min_window)
+            # The verified sign's comparison, or the +1 one if none verifies.
+            equal, window, compared, witness = outcomes[good[0] if good else 1]
+            sign = good[0] if len(good) == 1 else None
+        else:
+            lhs, rhs = relation_words(rid, nodes)
+            equal, window, compared, witness = _compare(module, lhs, rhs, min_window)
+            sign = None
     except WindowEmpty:
         return RelationResult(rid, nodes, "window_empty")
     status = "verified" if equal else "failed"
-    return RelationResult(rid, nodes, status, window, compared, witness=witness)
+    return RelationResult(
+        rid, nodes, status, window, compared, sign=sign, witness=witness
+    )
 
 
 def resolve_commutator_sign(module: TruncatedModule, i: int, j: int) -> int:
     """The unique sign in [X_i, X_j] = S_i X_j(sign) S_i^-1 for adjacent i, j."""
     if not module.gcm.adjacent(i, j):
         raise ValueError(f"nodes {i}, {j} are not adjacent")
-    verdicts = {}
-    for sign in (1, -1):
-        lhs, rhs = relation_words("R11", (i, j), sign)
-        equal, _, _, _ = _compare(module, lhs, rhs, min_window=0)
-        verdicts[sign] = equal
-    if verdicts[1] and verdicts[-1]:
+    _, good = _r11_compare(module, i, j, min_window=0)
+    if len(good) == 2:
         raise SignAmbiguous(f"both signs verify for pair ({i}, {j})")
-    if not verdicts[1] and not verdicts[-1]:
+    if not good:
         raise SignNone(f"neither sign verifies for pair ({i}, {j})")
-    return 1 if verdicts[1] else -1
+    return good[0]
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +269,14 @@ def _oracle_trivial_on_truncation(module: TruncatedModule, subset) -> bool:
     return True
 
 
-def _matrix_trivial(module: TruncatedModule, subset) -> bool | None:
-    """Full matrix check h_S == identity; None when the window is empty."""
-    mat = WindowedMatrix.identity(module)
-    for i in subset:
-        mat = mat @ h_element(module, i, -1)
+def _matrix_trivial(module: TruncatedModule, subset, ident) -> bool | None:
+    """Full matrix check h_S == ident; None when the window is empty."""
+    mat = ident
+    for n, i in enumerate(subset):
+        h = h_element(module, i, -1)
+        mat = h if n == 0 else mat @ h
     try:
-        equal, _, _ = mat.equal_on_window(
-            WindowedMatrix.identity(module), min_window=0
-        )
+        equal, _, _ = mat.equal_on_window(ident, min_window=0)
     except WindowEmpty:
         return None
     return equal
@@ -295,6 +295,7 @@ def kernel_probe(module: TruncatedModule) -> dict:
     n = gcm.rank
     members = []
     not_separated = []
+    ident = WindowedMatrix.identity(module)
     for mask in range(1 << n):
         subset = [i for i in range(n) if mask >> i & 1]
         crit = kernel_membership(gcm, lam, subset)
@@ -304,7 +305,7 @@ def kernel_probe(module: TruncatedModule) -> dict:
                 raise OracleMismatch(
                     f"criterion-trivial h_S for S={subset} acts nontrivially"
                 )
-            matrix_ok = _matrix_trivial(module, subset)
+            matrix_ok = _matrix_trivial(module, subset, ident)
             if matrix_ok is False:
                 raise OracleMismatch(
                     f"h_S matrix for S={subset} differs from the identity"
@@ -376,31 +377,16 @@ def verify_all(
     jobs: int = 1,
     with_kernel: bool = True,
 ) -> VerificationReport:
-    """Verify every instance of R1-R12 on the module.
+    """Verify every instance of R1-R12 on the module, in order.
 
-    Instances are independent; jobs > 1 runs them on a thread pool (useful
-    mainly to overlap the generator-cache warmup).
+    jobs is accepted and ignored: a thread pool measured no gain under the
+    GIL and raced on the module's generator cache.
     """
-    tasks = [
-        (schema.id, nodes)
+    results = [
+        verify_relation(module, schema.id, nodes, min_window)
         for schema in relation_schemas()
         for nodes in schema.instances(module.gcm)
     ]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda t: verify_relation(module, t[0], t[1], min_window),
-                    tasks,
-                )
-            )
-    else:
-        results = [
-            verify_relation(module, rid, nodes, min_window)
-            for rid, nodes in tasks
-        ]
     report = VerificationReport(module.gcm, module.lam, module.depth, results)
     if with_kernel:
         report.kernel = kernel_probe(module)

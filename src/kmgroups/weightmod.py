@@ -111,15 +111,17 @@ class TruncatedModule:
         # list over source monomials of [(target row index, coefficient)].
         self._e_verma: dict[tuple[int, tuple[int, ...]], list] = {}
         self._gen_cache: dict = {}  # populated lazily by groupgen
+        self._weight_keys: list[tuple[int, ...]] = []  # set by build_module
 
     # -- weights ----------------------------------------------------------
 
     def weight_keys(self) -> list[tuple[int, ...]]:
-        """All depth vectors with a non-trivial weight space, sorted."""
-        return sorted(
-            (k for k, s in self.slices.items() if s.rank > 0),
-            key=lambda k: (sum(k), k),
-        )
+        """All depth vectors with a non-trivial weight space, sorted.
+
+        The list is sorted once, when build_module has filled the slices,
+        and shared by every caller: do not modify it.
+        """
+        return self._weight_keys
 
     def rank_at(self, depth_vector) -> int:
         k = tuple(depth_vector)
@@ -260,6 +262,10 @@ def build_module(
             )
 
     _build_operator_blocks(mod, gram, index)
+    mod._weight_keys = sorted(
+        (k for k, s in mod.slices.items() if s.rank > 0),
+        key=lambda k: (sum(k), k),
+    )
     return mod
 
 

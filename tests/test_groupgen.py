@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from kmgroups.cartan import path_gcm, triangle_with_pendant_gcm
@@ -150,6 +151,107 @@ def test_evaluate_word_and_generator_matrix(a2):
     assert equal
     with pytest.raises(ValueError):
         generator_matrix(a2, GeneratorSymbol("Z", 0, 1))
+
+
+# -- brute-force reference for products and column reads ---------------------
+
+
+def _dense(mat):
+    """mat as one dense integer matrix over the basis [(k, a), ...] in
+    weight_keys() order, with its flags as one list."""
+    mod = mat.module
+    basis = [(k, a) for k in mod.weight_keys() for a in range(mod.rank_at(k))]
+    pos = {b: n for n, b in enumerate(basis)}
+    dense = np.zeros((len(basis), len(basis)), dtype=object)
+    for (tgt, src), blk in mat.blocks.items():
+        for a in range(blk.shape[0]):
+            for c in range(blk.shape[1]):
+                dense[pos[(tgt, a)], pos[(src, c)]] = blk[a, c]
+    flags = [mat.exact[k][a] for k, a in basis]
+    return basis, dense, flags
+
+
+def _reference_product(left, right):
+    """(blocks, exact) of left @ right from dense matrices and the rule: a
+    column is exact iff it is exact in right and every row it touches is
+    exact in left."""
+    basis, dl, fl = _dense(left)
+    _, dr, fr = _dense(right)
+    prod = dl.dot(dr)
+    n = len(basis)
+    blocks = {}
+    for i in range(n):
+        for j in range(n):
+            if prod[i, j]:
+                (tgt, a), (src, c) = basis[i], basis[j]
+                blocks.setdefault((tgt, src), set()).add((a, c, prod[i, j]))
+    exact = {k: [] for k in left.module.slices}
+    for j, (src, _) in enumerate(basis):
+        touched = [i for i in range(n) if dr[i, j]]
+        exact[src].append(fr[j] and all(fl[i] for i in touched))
+    return blocks, exact
+
+
+def _reference_column(mat, src, c):
+    basis, dense, _ = _dense(mat)
+    j = basis.index((src, c))
+    out = {}
+    for tgt in mat.module.weight_keys():
+        rows = [i for i, (k, _) in enumerate(basis) if k == tgt]
+        col = tuple(int(dense[i, j]) for i in rows)
+        if any(col):
+            out[tgt] = col
+    return out
+
+
+def _assert_matches_reference(left, right):
+    prod = left @ right
+    blocks, exact = _reference_product(left, right)
+    assert set(prod.blocks) == set(blocks)
+    for key, entries in blocks.items():
+        blk = prod.blocks[key]
+        nonzero = {(a, c, blk[a, c]) for a in range(blk.shape[0])
+                   for c in range(blk.shape[1]) if blk[a, c]}
+        assert nonzero == entries
+    assert prod.exact == exact
+    for k in prod.module.weight_keys():
+        for c in range(prod.module.rank_at(k)):
+            assert prod.column(k, c) == _reference_column(prod, k, c)
+    return prod
+
+
+def test_product_flags_and_columns_match_reference(rank4):
+    word = parse_word("Y1(1) X2(3) H3(-1) S2 Y4(-2) S1^-1 Y2(1)", rank=4)
+    total = rank4.total_rank()
+    mixed = 0  # products with both exact and inexact columns
+    acc = generator_matrix(rank4, word[0])
+    for sym in word[1:]:
+        gen = generator_matrix(rank4, sym)
+        for prod in (_assert_matches_reference(gen, acc),
+                     _assert_matches_reference(acc, gen)):
+            mixed += 0 < sum(sum(f) for f in prod.exact.values()) < total
+        acc = prod
+    assert mixed >= 8
+    full = evaluate_word(rank4, word)
+    assert full.blocks.keys() == acc.blocks.keys()
+    assert all(np.array_equal(full.blocks[k], acc.blocks[k]) for k in acc.blocks)
+    assert full.exact == acc.exact
+
+
+def test_evaluate_word_empty_and_single_letter(rank4):
+    ident = WindowedMatrix.identity(rank4)
+    empty = evaluate_word(rank4, [])
+    assert empty.blocks.keys() == ident.blocks.keys()
+    assert all(np.array_equal(empty.blocks[k], ident.blocks[k]) for k in ident.blocks)
+    assert empty.exact == ident.exact
+    for sym in parse_word("Y2(-3) S1 H4(-1) X3(2)", rank=4):
+        gen = generator_matrix(rank4, sym)
+        one = evaluate_word(rank4, [sym])
+        assert one.blocks.keys() == gen.blocks.keys()
+        assert all(np.array_equal(one.blocks[k], gen.blocks[k]) for k in gen.blocks)
+        assert one.exact == gen.exact
+        # the identity on the left changes nothing either
+        _assert_matches_reference(ident, gen)
 
 
 def test_generator_symbol_inverse():
