@@ -38,6 +38,8 @@ GOLDEN = [
     ("verify", "a3", "1,1,1", 5, "json"),
     ("kernel", "a3", "1,1,1", 5, "json"),
     ("verify", "rank4", "1,1,1,1", 5, "sha256"),
+    ("kernel", "rank4", "1,1,1,1", 5, "json"),
+    ("commutator-signs", "rank4", "1,1,1,1", 4, "json"),
 ]
 
 
