@@ -3,7 +3,6 @@
 Submodules:
   cartan    generalized Cartan matrices, classification, hyperbolicity
   roots     real-root enumeration, prenilpotent pairs, commutation intervals
-  extweyl   words in the extended Weyl group generators
   weightmod depth-truncated Z-forms of highest-weight modules
   groupgen  group generators as windowed block matrices
   verifier  relation verification and kernel probe

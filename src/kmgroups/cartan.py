@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,22 +73,11 @@ class GeneralizedCartanMatrix:
         return i != j and self.entries[i][j] != 0
 
     def is_connected(self, nodes=None) -> bool:
-        nodes = list(range(self.rank)) if nodes is None else sorted(nodes)
-        if not nodes:
-            return False
-        node_set = set(nodes)
-        seen = {nodes[0]}
-        frontier = [nodes[0]]
-        while frontier:
-            i = frontier.pop()
-            for j in self.neighbors(i):
-                if j in node_set and j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
-        return seen == node_set
+        return len(self.components(nodes)) == 1
 
-    def components(self) -> list[list[int]]:
-        remaining = set(range(self.rank))
+    def components(self, nodes=None) -> list[list[int]]:
+        """Connected components of the subdiagram on nodes (default: all)."""
+        remaining = set(range(self.rank) if nodes is None else nodes)
         comps = []
         while remaining:
             start = min(remaining)
@@ -108,21 +98,6 @@ class GeneralizedCartanMatrix:
         return GeneralizedCartanMatrix(
             tuple(tuple(self.entries[i][j] for j in nodes) for i in nodes)
         )
-
-
-@dataclass(frozen=True)
-class DynkinDiagram:
-    """Node set {0..rank-1} plus the single-bond edge list of a GCM."""
-
-    rank: int
-    edges: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_gcm(cls, gcm: GeneralizedCartanMatrix) -> "DynkinDiagram":
-        return cls(rank=gcm.rank, edges=tuple(gcm.edges()))
-
-    def to_json(self) -> dict:
-        return {"rank": self.rank, "edges": [list(e) for e in self.edges]}
 
 
 def validate_gcm(matrix, require_simply_laced: bool = False) -> GeneralizedCartanMatrix:
@@ -179,17 +154,9 @@ def _symmetrized(gcm: GeneralizedCartanMatrix) -> list[list[int]]:
                     frontier.append(j)
                 elif d[j] != want:
                     raise NotGCM("matrix is not symmetrizable")
-    denom = 1
-    for v in d:
-        denom = denom * v.denominator // _gcd(denom, v.denominator)
+    denom = math.lcm(*(v.denominator for v in d))
     scale = [int(v * denom) for v in d]
     return [[scale[i] * a[i][j] for j in range(n)] for i in range(n)]
-
-
-def _gcd(a: int, b: int) -> int:
-    import math
-
-    return math.gcd(a, b)
 
 
 def _classify_connected(sym_rows) -> str:

@@ -18,9 +18,8 @@ import argparse
 import json
 import sys
 
-from . import cartan, roots as rootsmod
+from . import roots as rootsmod
 from .cartan import (
-    DisconnectedInput,
     NotGCM,
     NotSimplyLaced,
     classify,
@@ -107,7 +106,7 @@ def _emit(payload: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _build(args, require_lambda=True):
+def _build(args):
     gcm = _load_gcm(args.gcm, require_simply_laced=True)
     lam = _parse_lambda(args.lam, gcm.rank)
     try:
@@ -121,11 +120,12 @@ def _build(args, require_lambda=True):
 def cmd_classify(args) -> int:
     gcm = _load_gcm(args.gcm)
     try:
-        hyperbolic = is_hyperbolic(gcm)
-    except DisconnectedInput:
-        hyperbolic = False
+        kind = classify(gcm)  # NotGCM if no symmetrizer exists
+        hyperbolic = gcm.is_connected() and is_hyperbolic(gcm)
+    except NotGCM as exc:
+        raise _CliError(EXIT_INVALID, f"NotGCM: {exc}")
     payload = {
-        "type": classify(gcm),
+        "type": kind,
         "simply_laced": gcm.simply_laced,
         "hyperbolic": hyperbolic,
     }
@@ -292,13 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify the relations R1-R12")
     add_common(p, needs_lambda=True)
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted for compatibility and ignored: verification runs in "
-        "one thread",
-    )
     p.add_argument(
         "--min-window",
         type=int,

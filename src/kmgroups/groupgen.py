@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import zeros_obj
+from .linalg import eye_obj, zeros_obj
 from .weightmod import TruncatedModule, _shift
 
 
@@ -77,14 +77,10 @@ class WindowedMatrix:
 
     @classmethod
     def identity(cls, module: TruncatedModule) -> "WindowedMatrix":
-        blocks = {}
-        for k, sl in module.slices.items():
-            if sl.rank:
-                ident = zeros_obj(sl.rank, sl.rank)
-                for a in range(sl.rank):
-                    ident[a, a] = 1
-                blocks[(k, k)] = ident
-        return cls(module, blocks)
+        return cls(
+            module,
+            {(k, k): eye_obj(sl.rank) for k, sl in module.slices.items() if sl.rank},
+        )
 
     def block(self, tgt, src) -> np.ndarray:
         b = self.blocks.get((tgt, src))
@@ -212,31 +208,30 @@ def read_column(entries, c) -> dict:
     return out
 
 
-def _op_blocks(module, sign, i, m):
-    return module.ops.get((sign, i, m), {})
+def _chi(module: TruncatedModule, sign: str, i: int, t: int) -> WindowedMatrix:
+    """The identity plus t^m times every computed block of e_i^(m) (sign
+    "e") or f_i^(m) (sign "f"), m >= 1; all columns flagged exact.
+
+    A (target, source) pair gets at most one block, since the target
+    k -+ m alpha_i determines m.
+    """
+    out = WindowedMatrix.identity(module)  # a fresh one: its blocks are edited
+    step = -1 if sign == "e" else 1
+    for (s, node, m), blocks in module.ops.items():
+        if s != sign or node != i:
+            continue
+        for k, blk in blocks.items():
+            if blk.any():
+                out.blocks[(_shift(k, i, step * m), k)] = blk * (t**m)
+    return out
 
 
 def chi_plus(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
     """chi_{+alpha_i}(t) = sum_m t^m e_i^(m); exact on every column."""
     key = ("X+", i, int(t))
-    if key in module._gen_cache:
-        return module._gen_cache[key]
-    out = WindowedMatrix.identity(module)  # a fresh one: its blocks are edited
-    for k, sl in module.slices.items():
-        if sl.rank == 0:
-            continue
-        for m in range(1, k[i] + 1):
-            blk = _op_blocks(module, "e", i, m).get(k)
-            if blk is None or not blk.any():
-                continue
-            tgt = _shift(k, i, -m)
-            scaled = blk * (t**m)
-            if (tgt, k) in out.blocks:
-                out.blocks[(tgt, k)] = out.blocks[(tgt, k)] + scaled
-            else:
-                out.blocks[(tgt, k)] = scaled
-    module._gen_cache[key] = out
-    return out
+    if key not in module._gen_cache:
+        module._gen_cache[key] = _chi(module, "e", i, t)
+    return module._gen_cache[key]
 
 
 def chi_minus(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
@@ -254,18 +249,15 @@ def chi_minus(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
     key = ("X-", i, int(t))
     if key in module._gen_cache:
         return module._gen_cache[key]
-    out = WindowedMatrix.identity(module)  # a fresh one: its blocks are edited
-    exact = {}
+    out = _chi(module, "f", i, t)
     for k, sl in module.slices.items():
         if sl.rank == 0:
-            exact[k] = []
             continue
-        d = sum(k)
-        m_max = module.depth - d
+        m_max = module.depth - sum(k)
         p = module.coroot_pairing(k, i)
         r = [0] * sl.rank  # largest power with e_i^(r) v != 0
         for m in range(1, k[i] + 1):
-            eblk = _op_blocks(module, "e", i, m).get(k)
+            eblk = module.ops.get(("e", i, m), {}).get(k)
             if eblk is None:
                 continue
             for c in range(sl.rank):
@@ -274,22 +266,12 @@ def chi_minus(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
         flags = [p + r[c] <= m_max for c in range(sl.rank)]
         alive = [True] * sl.rank  # column still has a nonzero f_i^(m) image
         for m in range(1, m_max + 1):
-            blk = _op_blocks(module, "f", i, m).get(k)
-            tgt = _shift(k, i, m)
-            if blk is None:
-                blk = zeros_obj(module.rank_at(tgt), sl.rank)
+            blk = module.ops.get(("f", i, m), {}).get(k)
             for c in range(sl.rank):
-                if alive[c] and not any(blk[:, c]):
+                if alive[c] and (blk is None or not any(blk[:, c])):
                     alive[c] = False
                     flags[c] = True
-            if blk.any():
-                scaled = blk * (t**m)
-                if (tgt, k) in out.blocks:
-                    out.blocks[(tgt, k)] = out.blocks[(tgt, k)] + scaled
-                else:
-                    out.blocks[(tgt, k)] = scaled
-        exact[k] = flags
-    out.exact = exact
+        out.exact[k] = flags
     module._gen_cache[key] = out
     return out
 

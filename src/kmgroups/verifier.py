@@ -13,7 +13,6 @@ cross-checked against the matrices themselves.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .cartan import GeneralizedCartanMatrix, gcm_to_json
@@ -40,22 +39,6 @@ class OracleMismatch(RuntimeError):
 
 
 RELATION_IDS = [f"R{n}" for n in range(1, 13)]
-
-# Node patterns per relation family.
-_PATTERN = {
-    "R1": "each_i",
-    "R2": "each_i",
-    "R3": "each_i",
-    "R4": "nonadjacent",
-    "R5": "nonadjacent",
-    "R6": "nonadjacent",
-    "R7": "adjacent",
-    "R8": "adjacent",
-    "R9": "adjacent",
-    "R10": "adjacent",
-    "R11": "adjacent",
-    "R12": "adjacent",
-}
 
 
 def _X(i, t=1):
@@ -110,25 +93,22 @@ def relation_words(rid: str, nodes, sign: int = 1):
     raise ValueError(f"unknown relation id {rid!r}")
 
 
-@dataclass(frozen=True)
-class RelationSchema:
-    id: str
-    pattern: str
+def relation_instances(gcm: GeneralizedCartanMatrix):
+    """Yield (rid, nodes) for every relation instance, R1 to R12 in order.
 
-    def instances(self, gcm: GeneralizedCartanMatrix):
-        n = gcm.rank
-        if self.pattern == "each_i":
-            return [(i,) for i in range(n)]
-        pairs = [
-            (i, j) for i in range(n) for j in range(n) if i != j
-        ]
-        if self.pattern == "nonadjacent":
-            return [(i, j) for i, j in pairs if not gcm.adjacent(i, j)]
-        return [(i, j) for i, j in pairs if gcm.adjacent(i, j)]
-
-
-def relation_schemas() -> list[RelationSchema]:
-    return [RelationSchema(rid, _PATTERN[rid]) for rid in RELATION_IDS]
+    R1-R3 run over the nodes i, R4-R6 over the ordered non-adjacent pairs
+    (i, j) and R7-R12 over the ordered adjacent pairs.
+    """
+    n = gcm.rank
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    nodes = (
+        [[(i,) for i in range(n)]] * 3
+        + [[p for p in pairs if not gcm.adjacent(*p)]] * 3
+        + [[p for p in pairs if gcm.adjacent(*p)]] * 6
+    )
+    for rid, instances in zip(RELATION_IDS, nodes):
+        for inst in instances:
+            yield rid, inst
 
 
 @dataclass
@@ -372,20 +352,12 @@ class VerificationReport:
 
 
 def verify_all(
-    module: TruncatedModule,
-    min_window: int = 0,
-    jobs: int = 1,
-    with_kernel: bool = True,
+    module: TruncatedModule, min_window: int = 0, with_kernel: bool = True
 ) -> VerificationReport:
-    """Verify every instance of R1-R12 on the module, in order.
-
-    jobs is accepted and ignored: a thread pool measured no gain under the
-    GIL and raced on the module's generator cache.
-    """
+    """Verify every instance of R1-R12 on the module, in order."""
     results = [
-        verify_relation(module, schema.id, nodes, min_window)
-        for schema in relation_schemas()
-        for nodes in schema.instances(module.gcm)
+        verify_relation(module, rid, nodes, min_window)
+        for rid, nodes in relation_instances(module.gcm)
     ]
     report = VerificationReport(module.gcm, module.lam, module.depth, results)
     if with_kernel:

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cartan import GeneralizedCartanMatrix, NotSimplyLaced
-from .linalg import hnf_rows, obj_array, solve_left_rational, zeros_obj
+from .linalg import eye_obj, hnf_rows, obj_array, solve_left_rational, zeros_obj
 
 
 class NonDominantWeight(ValueError):
@@ -67,17 +67,6 @@ class DominantWeight:
         return all(c >= 1 for c in self.coords)
 
 
-@dataclass(frozen=True)
-class Weight:
-    """mu = lambda - sum_i depth_vector[i] * alpha_i."""
-
-    depth_vector: tuple[int, ...]
-
-    @property
-    def depth(self) -> int:
-        return sum(self.depth_vector)
-
-
 @dataclass
 class WeightSlice:
     depth_vector: tuple[int, ...]
@@ -107,9 +96,6 @@ class TruncatedModule:
         self.slices: dict[tuple[int, ...], WeightSlice] = {}
         # (sign, i, m) -> {source depth_vector: (r_tgt x r_src) int matrix}
         self.ops: dict[tuple[str, int, int], dict[tuple[int, ...], np.ndarray]] = {}
-        # (i, k) -> sparse columns of e_i on the Verma slice k:
-        # list over source monomials of [(target row index, coefficient)].
-        self._e_verma: dict[tuple[int, tuple[int, ...]], list] = {}
         self._gen_cache: dict = {}  # populated lazily by groupgen
         self._weight_keys: list[tuple[int, ...]] = []  # set by build_module
 
@@ -147,10 +133,7 @@ class TruncatedModule:
             raise SliceOutOfRange(f"no slice at {k}")
         r_src = self.slices[k].rank
         if m == 0:
-            ident = zeros_obj(r_src, r_src)
-            for a in range(r_src):
-                ident[a, a] = 1
-            return ident
+            return eye_obj(r_src)
         tgt = _shift(k, i, m if sign == "f" else -m)
         if any(c < 0 for c in tgt) or sum(tgt) > self.depth:
             raise SliceOutOfRange(f"target slice {tgt} outside truncation")
@@ -243,16 +226,18 @@ def build_module(
     mod = TruncatedModule(gcm, lam, depth)
     rank = gcm.rank
     index: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    gram: dict[tuple[int, ...], np.ndarray] = {}
+    # (i, k) -> sparse columns of e_i on the Verma slice k: a list over the
+    # source monomials of [(target row index, coefficient)].  Only needed
+    # while building, so it is not kept on the module.
+    e_verma: dict[tuple[int, tuple[int, ...]], list] = {}
     total = 0
 
     for k in _depth_vectors(rank, depth):
         mons = _monomials(k)
         idx = {w: a for a, w in enumerate(mons)}
         index[k] = idx
-        _build_e_matrices(mod, gcm, lam, k, mons, idx, index)
-        g = _build_gram(mod, gcm, k, mons, idx, index, gram)
-        gram[k] = g
+        _build_e_matrices(e_verma, gcm, lam, k, mons, index)
+        g = _build_gram(e_verma, mod.slices, k, mons, index)
         sl = _build_slice(k, mons, idx, g)
         mod.slices[k] = sl
         total += sl.rank
@@ -261,15 +246,15 @@ def build_module(
                 f"basis size {total} exceeds cap {max_basis} at depth {sum(k)}"
             )
 
-    _build_operator_blocks(mod, gram, index)
     mod._weight_keys = sorted(
         (k for k, s in mod.slices.items() if s.rank > 0),
         key=lambda k: (sum(k), k),
     )
+    _build_operator_blocks(mod, e_verma, index)
     return mod
 
 
-def _build_e_matrices(mod, gcm, lam, k, mons, idx, index):
+def _build_e_matrices(e_verma, gcm, lam, k, mons, index):
     """Sparse columns of e_i on the Verma slice k.
 
     e_i f_j w' = f_j (e_i w') + delta_ij <mu', alpha_i^vee> w' where mu' is
@@ -291,7 +276,7 @@ def _build_e_matrices(mod, gcm, lam, k, mons, idx, index):
             j, tail = word[0], word[1:]
             entries: dict[int, int] = {}
             sub_key = (i, _shift(k, j, -1))
-            sub = mod._e_verma.get(sub_key)
+            sub = e_verma.get(sub_key)
             if sub is not None:
                 if j not in sub_tail_cache:
                     sub_tail_cache[j] = _monomials(_shift(tgt, j, -1))
@@ -304,7 +289,7 @@ def _build_e_matrices(mod, gcm, lam, k, mons, idx, index):
                 row = tgt_idx[tail]
                 entries[row] = entries.get(row, 0) + pairing
             cols.append([(r, c) for r, c in entries.items() if c])
-        mod._e_verma[(i, k)] = cols
+        e_verma[(i, k)] = cols
 
 
 def _apply_e(cols, n_tgt: int, vec) -> np.ndarray:
@@ -318,7 +303,7 @@ def _apply_e(cols, n_tgt: int, vec) -> np.ndarray:
     return out
 
 
-def _build_gram(mod, gcm, k, mons, idx, index, gram):
+def _build_gram(e_verma, slices, k, mons, index):
     n = len(mons)
     if sum(k) == 0:
         return obj_array([[1]])
@@ -328,8 +313,8 @@ def _build_gram(mod, gcm, k, mons, idx, index, gram):
     for a, w in enumerate(mons):
         by_first.setdefault(w[0], []).append(a)
     for j, rows in by_first.items():
-        prev = gram[_shift(k, j, -1)]
-        e_cols = mod._e_verma[(j, k)]
+        prev = slices[_shift(k, j, -1)].gram
+        e_cols = e_verma[(j, k)]
         tails = np.array(
             [index[_shift(k, j, -1)][mons[a][1:]] for a in rows]
         )
@@ -423,54 +408,51 @@ def _express_in_basis(sl: WeightSlice, num, den: int):
     return coords
 
 
-def _build_operator_blocks(mod: TruncatedModule, gram, index):
+def _build_operator_blocks(mod: TruncatedModule, e_verma, index):
     gcm, depth = mod.gcm, mod.depth
     rank = gcm.rank
-    for k in sorted(mod.slices, key=lambda k: (sum(k), k)):
+    for k in mod.weight_keys():
         src = mod.slices[k]
-        if src.rank == 0:
-            continue
         d = sum(k)
         for i in range(rank):
             # f_i^(m): prepend m copies of i to each lift, divide by m!.
             for m in range(1, depth - d + 1):
                 tgt_key = _shift(k, i, m)
                 tgt = mod.slices[tgt_key]
-                if tgt.rank == 0:
-                    block = zeros_obj(0, src.rank)
-                else:
-                    tgt_idx = index[tgt_key]
-                    block = zeros_obj(tgt.rank, src.rank)
-                    den = src.denom * src.lift_den * math.factorial(m)
-                    g2 = tgt.gram
-                    for a in range(src.rank):
-                        num = _pair_prepended(
-                            src, a, i, m, tgt_idx, g2
-                        )
-                        col = _express_in_basis(tgt, num, den)
-                        for t, v in enumerate(col):
-                            block[t, a] = v
-                mod.ops.setdefault(("f", i, m), {})[k] = block
+                pairings = (
+                    _pair_prepended(src, a, i, m, index[tgt_key], tgt.gram)
+                    for a in range(src.rank)
+                )
+                mod.ops.setdefault(("f", i, m), {})[k] = _block_in_basis(
+                    tgt, src, m, pairings
+                )
             # e_i^(m): apply the sparse Verma e_i columns m times, / m!.
             images = [src.basis_lift[a, :] for a in range(src.rank)]
             kk = k
             for m in range(1, k[i] + 1):
                 n_tgt = len(index[_shift(kk, i, -1)])
-                cols = mod._e_verma[(i, kk)]
+                cols = e_verma[(i, kk)]
                 images = [_apply_e(cols, n_tgt, x) for x in images]
                 kk = _shift(kk, i, -1)
                 tgt = mod.slices[kk]
-                if tgt.rank == 0:
-                    block = zeros_obj(0, src.rank)
-                else:
-                    den = src.denom * src.lift_den * math.factorial(m)
-                    block = zeros_obj(tgt.rank, src.rank)
-                    for a in range(src.rank):
-                        num = images[a] @ tgt.gram
-                        col = _express_in_basis(tgt, num, den)
-                        for t, v in enumerate(col):
-                            block[t, a] = v
-                mod.ops.setdefault(("e", i, m), {})[k] = block
+                mod.ops.setdefault(("e", i, m), {})[k] = _block_in_basis(
+                    tgt, src, m, (x @ tgt.gram for x in images)
+                )
+
+
+def _block_in_basis(tgt: WeightSlice, src: WeightSlice, m: int, pairings):
+    """Block of a divided power of order m out of src into tgt.
+
+    pairings yields, per basis vector of src, the pairing vector of its
+    image times src.denom * src.lift_den * m!; it is only consumed when tgt
+    is non-trivial.
+    """
+    block = zeros_obj(tgt.rank, src.rank)
+    if tgt.rank:
+        den = src.denom * src.lift_den * math.factorial(m)
+        for a, num in enumerate(pairings):
+            block[:, a] = _express_in_basis(tgt, num, den)
+    return block
 
 
 def _pair_prepended(src: WeightSlice, a: int, i: int, m: int, tgt_idx, g2):
@@ -498,11 +480,6 @@ def divided_power_matrix(
     return module.operator_block(sign, i, m, source)
 
 
-def coroot_pairing(module: TruncatedModule, weight: Weight | tuple, i: int) -> int:
-    k = weight.depth_vector if isinstance(weight, Weight) else tuple(weight)
-    return module.coroot_pairing(k, i)
-
-
 def module_to_json(module: TruncatedModule) -> dict:
     """Weights, ranks, and sparse operator triplets (row, col, value)."""
     weights = [
@@ -511,8 +488,7 @@ def module_to_json(module: TruncatedModule) -> dict:
             "depth": sum(k),
             "rank": module.slices[k].rank,
         }
-        for k in sorted(module.slices, key=lambda k: (sum(k), k))
-        if module.slices[k].rank > 0
+        for k in module.weight_keys()
     ]
     operators = []
     for (sign, i, m) in sorted(module.ops):

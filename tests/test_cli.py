@@ -17,6 +17,7 @@ from kmgroups.verifier import SignNone
 A2 = {"matrix": [[2, -1], [-1, 2]]}
 B2 = {"matrix": [[2, -2], [-1, 2]]}
 NOT_GCM = {"matrix": [[2, 1], [1, 2]]}
+NOT_SYMMETRIZABLE = {"matrix": [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]}
 
 
 @pytest.fixture()
@@ -48,6 +49,17 @@ def test_classify_invalid_gcm(capsys, tmp_path):
     p.write_text(json.dumps(NOT_GCM))
     code, _ = run(capsys, ["classify", "--gcm", str(p)])
     assert code == EXIT_INVALID
+
+
+def test_classify_non_symmetrizable(capsys, tmp_path):
+    # A valid GCM axiom-wise, but a_01 a_12 a_20 != a_10 a_21 a_02.
+    p = tmp_path / "cyclic.json"
+    p.write_text(json.dumps(NOT_SYMMETRIZABLE))
+    code = main(["classify", "--gcm", str(p)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.out == ""
+    assert captured.err == "error: NotGCM: matrix is not symmetrizable\n"
 
 
 def test_classify_bad_json(capsys, tmp_path):

@@ -1,13 +1,16 @@
+from collections import Counter
+
 import pytest
 
-from kmgroups.cartan import path_gcm, triangle_with_pendant_gcm
+from kmgroups.cartan import e_gcm, path_gcm, triangle_with_pendant_gcm
+from kmgroups.roots import simple_reflection, simple_root
 from kmgroups.verifier import (
     RELATION_IDS,
     OracleMismatch,
     SignNone,
     kernel_membership,
     kernel_probe,
-    relation_schemas,
+    relation_instances,
     relation_words,
     resolve_commutator_sign,
     verify_all,
@@ -29,7 +32,7 @@ def a3():
 def test_relation_inventory():
     assert RELATION_IDS == [f"R{n}" for n in range(1, 13)]
     g = triangle_with_pendant_gcm()
-    counts = {s.id: len(s.instances(g)) for s in relation_schemas()}
+    counts = Counter(rid for rid, _ in relation_instances(g))
     assert counts["R1"] == counts["R2"] == counts["R3"] == 4
     assert counts["R4"] == counts["R5"] == counts["R6"] == 4  # ordered non-adj
     assert counts["R7"] == counts["R11"] == 8  # ordered adjacent
@@ -44,6 +47,32 @@ def test_relation_words_shapes():
     assert rhs[1].arg == -1
     with pytest.raises(ValueError):
         relation_words("R13", (0, 1))
+
+
+@pytest.mark.parametrize(
+    "gcm", [triangle_with_pendant_gcm(), e_gcm(10)], ids=["rank4", "e10"]
+)
+def test_weyl_relation_words_act_alike_on_root_lattice(gcm):
+    # R1, R4, R7 and R8 are words in the S letters alone, and S_i^{+-1} acts
+    # on the root lattice as the simple reflection s_i.  Both sides of every
+    # instance must act alike on every simple root, with the letters applied
+    # rightmost first, as evaluate_word composes them.
+    def act(word, root):
+        for sym in reversed(word):
+            assert sym.kind == "S"
+            root = simple_reflection(gcm, sym.node, root)
+        return root
+
+    checked = Counter()
+    for rid, nodes in relation_instances(gcm):
+        if rid not in ("R1", "R4", "R7", "R8"):
+            continue
+        lhs, rhs = relation_words(rid, nodes)
+        for j in range(gcm.rank):
+            root = simple_root(gcm.rank, j)
+            assert act(lhs, root) == act(rhs, root), (rid, nodes, j)
+        checked[rid] += 1
+    assert set(checked) == {"R1", "R4", "R7", "R8"}
 
 
 def test_a2_full_suite_verifies(a2):
@@ -172,8 +201,3 @@ def test_kernel_probe_subgroup_closure(a3):
     # order divides 2^rank
     assert 16 % res["subgroup_order"] == 0
 
-
-def test_verify_all_with_jobs(a2):
-    seq = verify_all(a2, jobs=1, with_kernel=False)
-    par = verify_all(a2, jobs=4, with_kernel=False)
-    assert [r.to_json() for r in seq.results] == [r.to_json() for r in par.results]

@@ -10,16 +10,14 @@ from kmgroups.cartan import (
     triangle_with_pendant_gcm,
     validate_gcm,
 )
+from kmgroups import weightmod
 from kmgroups.weightmod import (
     DepthOverflow,
     DominantWeight,
     NonDominantWeight,
     SliceOutOfRange,
     TruncatedModule,
-    Weight,
-    _build_operator_blocks,
     build_module,
-    coroot_pairing,
     divided_power_matrix,
     module_to_json,
 )
@@ -125,7 +123,6 @@ def test_coroot_pairing_values(a2_adjoint):
     assert a2_adjoint.coroot_pairing((0, 0), 0) == 1
     assert a2_adjoint.coroot_pairing((1, 0), 0) == -1
     assert a2_adjoint.coroot_pairing((1, 0), 1) == 2
-    assert coroot_pairing(a2_adjoint, Weight((1, 1)), 0) == 0
     with pytest.raises(SliceOutOfRange):
         a2_adjoint.coroot_pairing((3, 3), 0)
 
@@ -228,18 +225,18 @@ def test_basis_lift_pairs_to_scaled_basis(gcm, lam, depth):
         assert np.array_equal(sl.basis_lift @ sl.gram, sl.lift_den * sl.basis_psi)
 
 
-def test_operator_blocks_divide_by_lift_den():
+def test_operator_blocks_divide_by_lift_den(monkeypatch):
     # Every slice met so far solves with lift_den == 1, so scale the lifts
-    # by hand: the operator blocks must not change.
-    m = build_module(triangle_with_pendant_gcm(), DominantWeight((1, 1, 1, 1)), 4)
-    before = module_to_json(m)
-    for sl in m.slices.values():
-        sl.basis_lift = 3 * sl.basis_lift
-        sl.lift_den *= 3
-    m.ops.clear()
-    gram = {k: sl.gram for k, sl in m.slices.items()}
-    index = {
-        k: {w: a for a, w in enumerate(sl.monomials)} for k, sl in m.slices.items()
-    }
-    _build_operator_blocks(m, gram, index)
+    # by hand while building: the operator blocks must not change.
+    gcm, lam = triangle_with_pendant_gcm(), DominantWeight((1, 1, 1, 1))
+    before = module_to_json(build_module(gcm, lam, 4))
+    lift_basis = weightmod._lift_basis
+
+    def scaled_lift_basis(g, psi, pivots):
+        den, lift = lift_basis(g, psi, pivots)
+        return 3 * den, 3 * lift
+
+    monkeypatch.setattr(weightmod, "_lift_basis", scaled_lift_basis)
+    m = build_module(gcm, lam, 4)
+    assert all(sl.lift_den == 3 for sl in m.slices.values())
     assert module_to_json(m) == before
