@@ -1,88 +1,55 @@
-import pytest
+"""The extended Weyl group part of the relations: words in the S letters.
 
-from kmgroups.cartan import path_gcm, triangle_with_pendant_gcm
-from kmgroups.extweyl import (
-    ExtWeylWord,
-    act_on_root_lattice,
-    kp_relation_schemas,
-    w,
-)
-from kmgroups.roots import Root, simple_reflection, simple_root
+R1, R4, R7 and R8 are words in the S letters alone, and S_i^{+-1} acts on
+the root lattice as the simple reflection s_i.  These tests run the words
+the verifier itself evaluates (verifier.relation_words) through that action,
+with the letters applied rightmost first, as evaluate_word composes them.
+"""
 
+from collections import Counter
 
-def test_free_reduction():
-    word = w(0) * w(0, -1)
-    assert len(word) == 0
-    word = w(0) * w(1) * w(1, -1) * w(2)
-    assert word.letters == ((0, 1), (2, 1))
+from kmgroups.cartan import e_gcm, triangle_with_pendant_gcm
+from kmgroups.roots import simple_reflection, simple_root
+from kmgroups.verifier import relation_instances, relation_words
+
+S_ONLY = ("R1", "R4", "R7", "R8")
 
 
-def test_bad_exponent_rejected():
-    with pytest.raises(ValueError):
-        ExtWeylWord(((0, 2),))
-
-
-def test_inverse_and_pow():
-    word = w(0) * w(1, -1) * w(2)
-    assert len(word * word.inverse()) == 0
-    assert (word**0).letters == ()
-    assert (word**2).letters == word.letters + word.letters
-    assert (word**-1).letters == word.inverse().letters
-
-
-def test_to_json_signed_one_based():
-    word = w(0) * w(2, -1)
-    assert word.to_json() == [1, -3]
-
-
-def test_action_is_reflection_product():
-    g = triangle_with_pendant_gcm()
-    r = Root((1, 0, 1, 0))
-    word = w(0) * w(2) * w(3)
-    expected = r
-    for i in (0, 2, 3):
-        expected = simple_reflection(g, i, expected)
-    assert act_on_root_lattice(g, word, r) == expected
-
-
-def test_action_ignores_exponent_sign():
-    g = path_gcm(3)
-    r = Root((1, 1, 0))
-    assert act_on_root_lattice(g, w(1), r) == act_on_root_lattice(g, w(1, -1), r)
+def act_on_root_lattice(gcm, word, root):
+    for sym in reversed(word):
+        assert sym.kind == "S"
+        root = simple_reflection(gcm, sym.node, root)
+    return root
 
 
 def test_braid_action_agrees_on_lattice():
     g = triangle_with_pendant_gcm()
-    for i in range(4):
-        for j in range(4):
-            if i != j and g.adjacent(i, j):
-                lhs = w(i) * w(j) * w(i)
-                rhs = w(j) * w(i) * w(j)
-                for s in range(4):
-                    r = simple_root(4, s)
-                    assert act_on_root_lattice(g, lhs, r) == act_on_root_lattice(
-                        g, rhs, r
-                    )
-
-
-def test_schema_inventory():
-    g = triangle_with_pendant_gcm()
-    schemas = kp_relation_schemas(g)
-    names = [s[0] for s in schemas]
-    assert names.count("order4") == 4
-    # non-adjacent unordered pairs: (0,3) and (1,3)
-    assert names.count("commute") == 2
-    # ordered adjacent pairs: 2 * |edges| = 8
-    assert names.count("braid") == 8
-    assert names.count("square_conj") == 8
+    braids = [nodes for rid, nodes in relation_instances(g) if rid == "R7"]
+    # one instance per ordered adjacent pair: 2 * |edges| = 8
+    assert len(braids) == 8
+    for i, j in braids:
+        assert g.adjacent(i, j)
+        lhs, rhs = relation_words("R7", (i, j))
+        assert [s.node for s in lhs] == [i, j, i]
+        assert [s.node for s in rhs] == [j, i, j]
+        for s in range(g.rank):
+            r = simple_root(g.rank, s)
+            assert act_on_root_lattice(g, lhs, r) == act_on_root_lattice(
+                g, rhs, r
+            ), (i, j, s)
 
 
 def test_schema_words_act_consistently_on_lattice():
-    g = triangle_with_pendant_gcm()
-    for name, nodes, lhs, rhs in kp_relation_schemas(g):
-        for s in range(4):
-            r = simple_root(4, s)
-            assert act_on_root_lattice(g, lhs, r) == act_on_root_lattice(g, rhs, r), (
-                name,
-                nodes,
-            )
+    for g in (triangle_with_pendant_gcm(), e_gcm(10)):
+        checked = Counter()
+        for rid, nodes in relation_instances(g):
+            if rid not in S_ONLY:
+                continue
+            lhs, rhs = relation_words(rid, nodes)
+            for s in range(g.rank):
+                r = simple_root(g.rank, s)
+                assert act_on_root_lattice(g, lhs, r) == act_on_root_lattice(
+                    g, rhs, r
+                ), (rid, nodes, s)
+            checked[rid] += 1
+        assert set(checked) == set(S_ONLY)

@@ -159,6 +159,25 @@ def test_hnf_properties(mat):
     assert basis == hnf_rows_gcd(mat)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-9, 9), min_size=5, max_size=5),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(1, 5),
+)
+def test_hnf_pivot_limit_matches_reference(mat, limit):
+    # The basis rows pivoting in the leading `limit` columns, cut to those
+    # columns, are the HNF of the projection onto them; rows pivoting later
+    # vanish there.  Checked against the reference on the projected rows.
+    basis = hnf_rows(mat)
+    head = [row[:limit] for row in basis if any(row[:limit])]
+    assert head == hnf_rows_gcd([row[:limit] for row in mat])
+    assert head == hnf_rows([row[:limit] for row in mat])
+
+
 def test_hnf_no_coefficient_swell():
     # regression: the naive gcd elimination swells badly on wide redundant
     # systems shaped like the Gram rows of a weight slice
