@@ -2,7 +2,9 @@
 
 Every file under tests/golden/ is the exact stdout of `kmgroups <command>`
 for the case named in GOLDEN.  The rank-4 depth-5 outputs (`module`,
-187 kB, and `verify`, 11 kB) are stored as the SHA-256 of those bytes.
+187 kB, and `verify`, 11 kB) and the E10 lambda=1^10 depth-3 `module`
+(345 kB) are stored as the SHA-256 of those bytes.  The E10 depth-4
+`module` is at lambda=omega_1, where 995 of the 1001 slices are empty.
 A refactor or speed-up of any layer must leave all of them identical: the
 integers they hold are the Z-form bases, operator blocks, relation reports
 and kernel verdicts.
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from kmgroups.cartan import gcm_to_json, path_gcm, triangle_with_pendant_gcm
+from kmgroups.cartan import e_gcm, gcm_to_json, path_gcm, triangle_with_pendant_gcm
 from kmgroups.cli import EXIT_OK, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -23,6 +25,7 @@ DIAGRAMS = {
     "a2": path_gcm(2),
     "a3": path_gcm(3),
     "rank4": triangle_with_pendant_gcm(),
+    "e10": e_gcm(10),
 }
 
 # (command, diagram, lambda, depth, stored form)
@@ -40,6 +43,8 @@ GOLDEN = [
     ("verify", "rank4", "1,1,1,1", 5, "sha256"),
     ("kernel", "rank4", "1,1,1,1", 5, "json"),
     ("commutator-signs", "rank4", "1,1,1,1", 4, "json"),
+    ("module", "e10", ",".join("1" * 10), 3, "sha256"),
+    ("module", "e10", ",".join("1" + "0" * 9), 4, "json"),
 ]
 
 
