@@ -28,9 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
-from .linalg import eye_obj, zeros_obj
+from .linalg import eye_obj
 from .weightmod import TruncatedModule, _shift
 
 
@@ -81,12 +79,6 @@ class WindowedMatrix:
             module,
             {(k, k): eye_obj(sl.rank) for k, sl in module.slices.items() if sl.rank},
         )
-
-    def block(self, tgt, src) -> np.ndarray:
-        b = self.blocks.get((tgt, src))
-        if b is None:
-            return zeros_obj(self.module.rank_at(tgt), self.module.rank_at(src))
-        return b
 
     def by_source(self) -> dict:
         """The blocks grouped by source slice: {src: [(tgt, block), ...]}."""

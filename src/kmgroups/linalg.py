@@ -1,14 +1,11 @@
-"""Exact integer / rational linear algebra helpers.
+"""Exact integer linear algebra helpers.
 
-Everything here works over Python ints (a rational result is an integer
-numerator with one common denominator); no floating point anywhere.
+Everything here works over Python ints; no floating point anywhere.
 Matrices are numpy arrays with dtype=object (so entries are
 arbitrary-precision ints) or plain nested lists for the small routines.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -77,7 +74,7 @@ def hnf_rows(mat) -> list[list[int]]:
     Returns a basis in echelon form: pivots positive, strictly increasing
     pivot columns, entries above each pivot reduced into [0, pivot).
 
-    The heavy lifting is delegated to sympy's HNF, since plain gcd
+    The elimination is delegated to sympy's HNF, since plain gcd
     elimination suffers catastrophic coefficient swell on wide slices.
     """
     from sympy.polys.domains import ZZ
@@ -113,45 +110,3 @@ def hnf_rows(mat) -> list[list[int]]:
 
 def _pivot(row) -> int:
     return next(j for j, v in enumerate(row) if v)
-
-
-def solve_left_rational(mat, rhs) -> tuple[int, list[list[int]]]:
-    """Solve x @ mat == rhs over Q for square nonsingular integer mat.
-
-    rhs is a list of integer rows.  Returns (den, num) with x = num / den,
-    den > 0 the least common denominator.  Fraction-free Gauss-Jordan
-    (Bareiss) on [mat^T | rhs^T]: every intermediate entry is a minor, so
-    all divisions are exact and no Fraction is ever built.  Raises
-    ZeroDivisionError on singular mat.
-    """
-    n = len(mat)
-    k_rhs = len(rhs)
-    a = [
-        [int(mat[j][i]) for j in range(n)] + [int(rhs[t][i]) for t in range(k_rhs)]
-        for i in range(n)
-    ]
-    width = n + k_rhs
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[k], a[piv] = a[piv], a[k]
-        akk, rowk = a[k][k], a[k]
-        for i in range(n):
-            if i == k:
-                continue
-            row, aik = a[i], a[i][k]
-            for j in range(k + 1, width):
-                row[j] = (akk * row[j] - aik * rowk[j]) // prev
-            row[k] = 0
-            if i < k:
-                row[i] = akk  # earlier pivots track the current minor
-        prev = akk
-    # Now a = [d*I | d * x^T] with d = +-det(mat).
-    d = a[0][0] if n else 1
-    num = [[a[i][n + t] for i in range(n)] for t in range(k_rhs)]
-    g = math.gcd(d, *(v for row in num for v in row))
-    if d < 0:
-        g = -g
-    return d // g, [[v // g for v in row] for row in num]

@@ -1,23 +1,27 @@
 """Depth-truncated Z-forms of integrable highest-weight modules.
 
 Construction per weight space (depth vector k, weight mu = lambda - sum k_i
-alpha_i):
+alpha_i), slice by slice in order of depth:
 
-  1. span the Verma slice by f-monomials in lexicographic order;
-  2. compute the contravariant (Shapovalov) Gram matrix exactly, by dynamic
-     programming over the e_i-action matrices on Verma slices;
-  3. embed the slice of the irreducible quotient through its pairing vector
-     against all monomials (this kills exactly the Gram radical);
-  4. the Z-lattice basis is the Hermite normal form of the lattice spanned
-     by the pairing vectors of all divided-power monomials
-     f_{i1}^(m1)...f_{ik}^(mk) applied to the highest-weight vector; a lift
-     of each basis vector to the Verma module is re-derived from the r Gram
-     rows at the pivot columns (an r x r rational solve with one
-     denominator per slice, checked on every column), since a lift only
-     matters modulo the Gram radical;
-  5. operator matrices for e_i^(m), f_i^(m) are assembled against these
-     bases and checked to be integral (the divided powers preserve the
-     lattice; a non-integral entry would be a bug, not a rounding issue).
+  1. span the Verma slice by f-monomials in lexicographic order and build
+     the sparse matrices E_i(k) of e_i on it;
+  2. embed the slice of the irreducible quotient through pairing vectors
+     (<x, f_w v_lambda>)_w against all monomials w (this kills exactly the
+     radical of the contravariant form);
+  3. the Z-lattice of the slice is spanned by f_i^(m) b over all i, m >= 1
+     and basis vectors b of the shallower slice s = k - m alpha_i, since
+     V_Z = U_Z^- v_lambda and U_Z^- is spanned by divided-power monomials.
+     By contravariance <f_i^m b, f_w v> = <b, e_i^m f_w v>, so the rows
+     psi_s E_i(s + alpha_i) ... E_i(k) are L_s * m! times the pairing
+     vectors of these generators, where psi_s / L_s are those of s's basis;
+  4. the basis is the Hermite normal form of the generators, scaled to one
+     common denominator L_k;
+  5. the block of f_i^(m) from s into k expresses each generator in that
+     basis, and the block of e_i^(m) out of k reads psi_k at the monomials
+     i^m w, since <e_i^(m) b, f_w v> = <b, f_i^m f_w v> / m!.  Every block
+     is checked to be integral (the divided powers preserve the lattice; a
+     non-integral entry would be a bug, not a rounding issue).  As every
+     generator is expressed, this also checks the HNF against its input.
 
 All scratch arithmetic is exact (ints with explicit denominators); every
 exposed matrix has integer entries.
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartan import GeneralizedCartanMatrix, NotSimplyLaced
-from .linalg import eye_obj, hnf_rows, obj_array, solve_left_rational, zeros_obj
+from .linalg import eye_obj, hnf_rows, obj_array, zeros_obj
 
 
 class NonDominantWeight(ValueError):
@@ -62,23 +66,16 @@ class DominantWeight:
         if any(c < 0 for c in self.coords):
             raise NonDominantWeight(f"negative coordinate in {self.coords}")
 
-    @property
-    def is_regular(self) -> bool:
-        return all(c >= 1 for c in self.coords)
-
 
 @dataclass
 class WeightSlice:
     depth_vector: tuple[int, ...]
     monomials: list[tuple[int, ...]]
-    gram: np.ndarray  # n x n ints
     rank: int
-    denom: int  # common denominator L of the divided-monomial images
+    # L: lcm of L_s * m! over the generators f_i^(m) b, b a basis vector of
+    # a source slice s = k - m alpha_i (1 when there are none)
+    denom: int
     basis_psi: np.ndarray  # r x n ints: L * (pairing vector of basis vector a)
-    # r x n ints: D * L * (Verma coefficients of a lift of basis vector a),
-    # nonzero only on the r monomials the lifts are combined from.
-    basis_lift: np.ndarray
-    lift_den: int  # D: basis_lift @ gram == D * basis_psi
     pivots: list[int]  # pivot column of each basis_psi row
 
     @property
@@ -184,30 +181,6 @@ def _monomials(k: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def _divided_monomials(k: tuple[int, ...]):
-    """Sequences ((i1,m1),...) with consecutive i distinct and content k."""
-    out = []
-    seq: list[tuple[int, int]] = []
-    counts = list(k)
-
-    def rec(prev: int):
-        if not any(counts):
-            out.append(tuple(seq))
-            return
-        for i, c in enumerate(counts):
-            if c == 0 or i == prev:
-                continue
-            for m in range(1, c + 1):
-                counts[i] -= m
-                seq.append((i, m))
-                rec(i)
-                seq.pop()
-                counts[i] += m
-
-    rec(-1)
-    return out
-
-
 def build_module(
     gcm: GeneralizedCartanMatrix,
     lam: DominantWeight,
@@ -224,7 +197,6 @@ def build_module(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     mod = TruncatedModule(gcm, lam, depth)
-    rank = gcm.rank
     index: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     # (i, k) -> sparse columns of e_i on the Verma slice k: a list over the
     # source monomials of [(target row index, coefficient)].  Only needed
@@ -232,14 +204,14 @@ def build_module(
     e_verma: dict[tuple[int, tuple[int, ...]], list] = {}
     total = 0
 
-    for k in _depth_vectors(rank, depth):
+    for k in _depth_vectors(gcm.rank, depth):
         mons = _monomials(k)
-        idx = {w: a for a, w in enumerate(mons)}
-        index[k] = idx
+        index[k] = {w: a for a, w in enumerate(mons)}
         _build_e_matrices(e_verma, gcm, lam, k, mons, index)
-        g = _build_gram(e_verma, mod.slices, k, mons, index)
-        sl = _build_slice(k, mons, idx, g)
+        sl = _build_slice(mod, e_verma, k, mons)
         mod.slices[k] = sl
+        if sl.rank:
+            _build_e_blocks(mod, index[k], sl)
         total += sl.rank
         if max_basis is not None and total > max_basis:
             raise DepthOverflow(
@@ -250,7 +222,6 @@ def build_module(
         (k for k, s in mod.slices.items() if s.rank > 0),
         key=lambda k: (sum(k), k),
     )
-    _build_operator_blocks(mod, e_verma, index)
     return mod
 
 
@@ -292,96 +263,73 @@ def _build_e_matrices(e_verma, gcm, lam, k, mons, index):
         e_verma[(i, k)] = cols
 
 
-def _apply_e(cols, n_tgt: int, vec) -> np.ndarray:
-    """Apply a sparse e-matrix (column lists) to a dense object vector."""
-    out = np.empty(n_tgt, dtype=object)
-    out.fill(0)
-    for b, c in enumerate(vec):
-        if c:
-            for r, coef in cols[b]:
-                out[r] += coef * c
-    return out
+def _times_e(rows, cols):
+    """rows @ E for the sparse e-matrix E given by its column lists."""
+    return [[sum(x[r] * c for r, c in col) for col in cols] for x in rows]
 
 
-def _build_gram(e_verma, slices, k, mons, index):
-    n = len(mons)
-    if sum(k) == 0:
-        return obj_array([[1]])
-    g = zeros_obj(n, n)
-    # Group rows by first letter: <f_j a', b> = sum_c E_j[c, b] <a', c>.
-    by_first: dict[int, list[int]] = {}
-    for a, w in enumerate(mons):
-        by_first.setdefault(w[0], []).append(a)
-    for j, rows in by_first.items():
-        prev = slices[_shift(k, j, -1)].gram
-        e_cols = e_verma[(j, k)]
-        tails = np.array(
-            [index[_shift(k, j, -1)][mons[a][1:]] for a in rows]
-        )
-        row_arr = np.array(rows)
-        for b in range(n):
-            acc = None
-            for c, coef in e_cols[b]:
-                term = prev[tails, c] * coef
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                g[row_arr, b] = acc
-    return g
-
-
-def _build_slice(k, mons, idx, g) -> WeightSlice:
-    n = len(mons)
-    divmons = _divided_monomials(k)
-    facts = [math.prod(math.factorial(m) for _, m in dm) for dm in divmons]
-    denom = math.lcm(*facts)
-    rows = []
-    for dm, fact in zip(divmons, facts):
-        a = idx[tuple(i for i, m in dm for _ in range(m))]
-        row = [(denom // fact) * int(v) for v in g[a, :]]
-        if any(row):  # a divided monomial in the Gram radical adds nothing
-            rows.append(row)
-    basis = hnf_rows(rows) if rows else []
+def _build_slice(mod: TruncatedModule, e_verma, k, mons) -> WeightSlice:
+    """The slice k, from the generators f_i^(m) b, and the f-blocks into it."""
+    if not any(k):
+        return WeightSlice(k, mons, 1, 1, obj_array([[1]]), [0])
+    gens = []  # (i, m, source slice, L_s * m! * generator pairing vectors)
+    for i in range(len(k)):
+        for m in range(1, k[i] + 1):
+            src = mod.slices[_shift(k, i, -m)]
+            if src.rank == 0:
+                continue
+            rows = [[int(v) for v in row] for row in src.basis_psi]
+            for step in range(m - 1, -1, -1):
+                rows = _times_e(rows, e_verma[(i, _shift(k, i, -step))])
+            gens.append((i, m, src, rows))
+    dens = [src.denom * math.factorial(m) for _, m, src, _ in gens]
+    denom = math.lcm(*dens)
+    hnf_in = [
+        [(denom // den) * v for v in row]
+        for (_, _, _, rows), den in zip(gens, dens)
+        for row in rows
+        if any(row)  # a generator in the radical adds nothing
+    ]
+    basis = hnf_rows(hnf_in) if hnf_in else []
     r = len(basis)
-    psi = obj_array(basis) if r else zeros_obj(0, n)
-    pivots = [next(j for j in range(n) if basis[a][j]) for a in range(r)]
-    lift_den, lift = _lift_basis(g, psi, pivots)
-    return WeightSlice(
+    sl = WeightSlice(
         depth_vector=k,
         monomials=mons,
-        gram=g,
         rank=r,
         denom=denom,
-        basis_psi=psi,
-        basis_lift=lift,
-        lift_den=lift_den,
-        pivots=pivots,
+        basis_psi=obj_array(basis) if r else zeros_obj(0, len(mons)),
+        pivots=[next(j for j, v in enumerate(row) if v) for row in basis],
     )
+    for (i, m, src, rows), den in zip(gens, dens):
+        mod.ops.setdefault(("f", i, m), {})[src.depth_vector] = _block_in_basis(
+            sl, src.rank, den, rows
+        )
+    return sl
 
 
-def _lift_basis(g, psi, pivots):
-    """Verma lifts of the basis vectors, as (lift_den, r x n ints).
+def _build_e_blocks(mod: TruncatedModule, idx, sl: WeightSlice):
+    """Blocks of e_i^(m) out of sl: psi at the monomials i^m w, / (L m!)."""
+    k = sl.depth_vector
+    for i in range(len(k)):
+        for m in range(1, k[i] + 1):
+            tgt = mod.slices[_shift(k, i, -m)]
+            cols = [idx[(i,) * m + w] for w in tgt.monomials] if tgt.rank else []
+            mod.ops.setdefault(("e", i, m), {})[k] = _block_in_basis(
+                tgt, sl.rank, sl.denom * math.factorial(m), sl.basis_psi[:, cols]
+            )
 
-    A lift only matters modulo the Gram radical, so any Verma vector with
-    the right pairing vector will do.  The pivots are the column rank
-    profile of the Gram matrix, hence by symmetry its row rank profile, so
-    the block gram[pivots][:, pivots] is nonsingular.  Row t of the result
-    is lift_den * x[t], placed on the pivot monomials, where
-    x @ gram[pivots][:, pivots] == psi[:, pivots].
+
+def _block_in_basis(tgt: WeightSlice, n_src: int, den: int, pairings):
+    """Block out of a source slice of rank n_src into tgt.
+
+    Row a of pairings is den times the pairing vector of the image of
+    source basis vector a; it is only read when tgt is non-trivial.
     """
-    r, n = psi.shape
-    lift = zeros_obj(r, n)
-    if r == 0:
-        return 1, lift
-    lift_den, coeffs = solve_left_rational(
-        [[int(g[a, p]) for p in pivots] for a in pivots],
-        [[int(psi[t, p]) for p in pivots] for t in range(r)],
-    )
-    for t in range(r):
-        for a, c in zip(pivots, coeffs[t]):
-            lift[t, a] = c
-    if not np.array_equal(lift[:, pivots] @ g[pivots, :], lift_den * psi):
-        raise ZFormError("basis lift does not reproduce its pairing vector")
-    return lift_den, lift
+    block = zeros_obj(tgt.rank, n_src)
+    if tgt.rank:
+        for a, num in enumerate(pairings):
+            block[:, a] = _express_in_basis(tgt, num, den)
+    return block
 
 
 def _express_in_basis(sl: WeightSlice, num, den: int):
@@ -406,67 +354,6 @@ def _express_in_basis(sl: WeightSlice, num, den: int):
     if any(rem):
         raise ZFormError("operator image pairs outside the slice lattice span")
     return coords
-
-
-def _build_operator_blocks(mod: TruncatedModule, e_verma, index):
-    gcm, depth = mod.gcm, mod.depth
-    rank = gcm.rank
-    for k in mod.weight_keys():
-        src = mod.slices[k]
-        d = sum(k)
-        for i in range(rank):
-            # f_i^(m): prepend m copies of i to each lift, divide by m!.
-            for m in range(1, depth - d + 1):
-                tgt_key = _shift(k, i, m)
-                tgt = mod.slices[tgt_key]
-                pairings = (
-                    _pair_prepended(src, a, i, m, index[tgt_key], tgt.gram)
-                    for a in range(src.rank)
-                )
-                mod.ops.setdefault(("f", i, m), {})[k] = _block_in_basis(
-                    tgt, src, m, pairings
-                )
-            # e_i^(m): apply the sparse Verma e_i columns m times, / m!.
-            images = [src.basis_lift[a, :] for a in range(src.rank)]
-            kk = k
-            for m in range(1, k[i] + 1):
-                n_tgt = len(index[_shift(kk, i, -1)])
-                cols = e_verma[(i, kk)]
-                images = [_apply_e(cols, n_tgt, x) for x in images]
-                kk = _shift(kk, i, -1)
-                tgt = mod.slices[kk]
-                mod.ops.setdefault(("e", i, m), {})[k] = _block_in_basis(
-                    tgt, src, m, (x @ tgt.gram for x in images)
-                )
-
-
-def _block_in_basis(tgt: WeightSlice, src: WeightSlice, m: int, pairings):
-    """Block of a divided power of order m out of src into tgt.
-
-    pairings yields, per basis vector of src, the pairing vector of its
-    image times src.denom * src.lift_den * m!; it is only consumed when tgt
-    is non-trivial.
-    """
-    block = zeros_obj(tgt.rank, src.rank)
-    if tgt.rank:
-        den = src.denom * src.lift_den * math.factorial(m)
-        for a, num in enumerate(pairings):
-            block[:, a] = _express_in_basis(tgt, num, den)
-    return block
-
-
-def _pair_prepended(src: WeightSlice, a: int, i: int, m: int, tgt_idx, g2):
-    """Pairing vector of f_i^m (lift of basis vector a), unscaled."""
-    n2 = g2.shape[0]
-    num = np.empty(n2, dtype=object)
-    num.fill(0)
-    prefix = (i,) * m
-    lift = src.basis_lift
-    for w_idx, w in enumerate(src.monomials):
-        c = lift[a, w_idx]
-        if c:
-            num = num + c * g2[tgt_idx[prefix + w], :]
-    return num
 
 
 def divided_power_matrix(

@@ -43,7 +43,7 @@ def test_chi_plus_exact_everywhere(a2):
     for (tgt, src) in x.blocks:
         assert sum(tgt) <= sum(src)
     for k in a2.weight_keys():
-        blk = x.block(k, k)
+        blk = x.blocks[(k, k)]
         r = a2.rank_at(k)
         assert all(
             blk[a, b] == (1 if a == b else 0) for a in range(r) for b in range(r)

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from kmgroups.linalg import (
     is_positive_definite_symmetric,
     leading_principal_minors,
     obj_array,
-    solve_left_rational,
     zeros_obj,
 )
 
@@ -192,24 +190,3 @@ def test_hnf_no_coefficient_swell():
     basis = hnf_rows(rows)
     assert len(basis) == rank
     assert all(abs(v) < 10**20 for row in basis for v in row)
-
-
-def test_solve_left_rational_against_fractions():
-    rng2 = random.Random(11)
-    solved = 0
-    for _ in range(200):
-        n, k = rng2.randint(1, 6), rng2.randint(1, 3)
-        mat = [[rng2.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        if bareiss_det(mat) == 0:
-            continue
-        rhs = [[rng2.randint(-9, 9) for _ in range(n)] for _ in range(k)]
-        den, num = solve_left_rational(mat, rhs)
-        assert den > 0 and math.gcd(den, *(v for row in num for v in row)) == 1
-        for t in range(k):
-            for j in range(n):
-                lhs = sum(Fraction(num[t][i], den) * mat[i][j] for i in range(n))
-                assert lhs == rhs[t][j]
-        solved += 1
-    assert solved > 100
-    with pytest.raises(ZeroDivisionError):
-        solve_left_rational([[1, 2], [2, 4]], [[1, 1]])

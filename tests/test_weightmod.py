@@ -10,7 +10,6 @@ from kmgroups.cartan import (
     triangle_with_pendant_gcm,
     validate_gcm,
 )
-from kmgroups import weightmod
 from kmgroups.weightmod import (
     DepthOverflow,
     DominantWeight,
@@ -25,8 +24,6 @@ from kmgroups.weightmod import (
 
 def test_dominant_weight_validation():
     assert DominantWeight((0, 1)).coords == (0, 1)
-    assert DominantWeight((1, 1)).is_regular
-    assert not DominantWeight((0, 1)).is_regular
     with pytest.raises(NonDominantWeight):
         DominantWeight((1, -1))
 
@@ -72,15 +69,44 @@ def test_sl2_divided_powers_and_sl2_triple():
         assert (ef - fe)[0, 0] == h
 
 
+def _shift(k, i, delta):
+    return tuple(kj + (delta if j == i else 0) for j, kj in enumerate(k))
+
+
+@pytest.fixture(scope="module")
+def rank4_d5():
+    return build_module(triangle_with_pendant_gcm(), DominantWeight((1, 1, 1, 1)), 5)
+
+
+def _check_divided_equals_iterated(m, sign, max_power):
+    # m! X^(m) = X^m for X = e_i or f_i, out of every slice, while the whole
+    # string stays inside the truncation
+    step = 1 if sign == "f" else -1
+    checked = 0
+    for k in m.weight_keys():
+        for i in range(m.gcm.rank):
+            iterated, cur = np.eye(m.rank_at(k), dtype=object), k
+            for power in range(1, max_power + 1):
+                nxt = _shift(cur, i, step)
+                if min(nxt) < 0 or sum(nxt) > m.depth:
+                    break
+                iterated = divided_power_matrix(m, i, 1, sign, cur) @ iterated
+                cur = nxt
+                divided = divided_power_matrix(m, i, power, sign, k)
+                assert (math.factorial(power) * divided == iterated).all(), (k, i, power)
+                checked += power > 1 and iterated.any()
+    assert checked
+
+
 def test_m_factorial_divided_power_equals_iterated():
     m = build_module(path_gcm(1), DominantWeight((4,)), 6)
-    for power in range(1, 5):
-        fm = divided_power_matrix(m, 0, power, "f", (0,))
-        iterated = np.eye(1, dtype=object)
-        iterated = divided_power_matrix(m, 0, 1, "f", (0,))
-        for step in range(1, power):
-            iterated = divided_power_matrix(m, 0, 1, "f", (step,)) @ iterated
-        assert math.factorial(power) * fm[0, 0] == iterated[0, 0]
+    for sign in ("f", "e"):
+        _check_divided_equals_iterated(m, sign, 4)
+
+
+@pytest.mark.parametrize("sign", ["f", "e"])
+def test_m_factorial_divided_power_equals_iterated_rank4(rank4_d5, sign):
+    _check_divided_equals_iterated(rank4_d5, sign, 3)
 
 
 # -- A2 adjoint -------------------------------------------------------------
@@ -113,12 +139,6 @@ def test_a2_weight_ranks_weyl_symmetric(a2_adjoint):
     }
 
 
-def test_gram_matrices_symmetric(a2_adjoint):
-    for k, sl in a2_adjoint.slices.items():
-        g = sl.gram
-        assert (g == g.T).all()
-
-
 def test_coroot_pairing_values(a2_adjoint):
     assert a2_adjoint.coroot_pairing((0, 0), 0) == 1
     assert a2_adjoint.coroot_pairing((1, 0), 0) == -1
@@ -127,27 +147,45 @@ def test_coroot_pairing_values(a2_adjoint):
         a2_adjoint.coroot_pairing((3, 3), 0)
 
 
-def test_ef_commutator_on_interior_slices(a2_adjoint):
-    m = a2_adjoint
+def _check_ef_commutators(m):
+    # [e_i, f_j] = delta_ij h_i out of every slice k with k + alpha_j inside
+    # the truncation
     for k in m.weight_keys():
-        d = sum(k)
-        if d + 1 > m.depth:
+        if sum(k) + 1 > m.depth:
             continue
-        for i in range(2):
-            r = m.rank_at(k)
-            up = tuple(kj + (1 if j == i else 0) for j, kj in enumerate(k))
-            dn = tuple(kj - (1 if j == i else 0) for j, kj in enumerate(k))
-            ef = m.operator_block("e", i, 1, up) @ m.operator_block("f", i, 1, k)
-            if min(dn) >= 0:
-                fe = m.operator_block("f", i, 1, dn) @ m.operator_block("e", i, 1, k)
-            else:
-                fe = np.zeros((r, r), dtype=object)
-            h = m.coroot_pairing(k, i)
-            expected = np.array(
-                [[h if a == b else 0 for b in range(r)] for a in range(r)],
-                dtype=object,
-            )
-            assert (ef - fe == expected).all(), (k, i)
+        r = m.rank_at(k)
+        for i in range(m.gcm.rank):
+            for j in range(m.gcm.rank):
+                up, dn = _shift(k, j, 1), _shift(k, i, -1)
+                tgt = _shift(up, i, -1)
+                if min(tgt) < 0:
+                    continue  # both sides land above the highest weight
+                ef = m.operator_block("e", i, 1, up) @ m.operator_block("f", j, 1, k)
+                if k[i]:
+                    fe = m.operator_block("f", j, 1, dn) @ m.operator_block("e", i, 1, k)
+                else:
+                    fe = np.zeros((m.rank_at(tgt), r), dtype=object)
+                if i == j:
+                    expected = m.coroot_pairing(k, i) * np.eye(r, dtype=object)
+                else:
+                    expected = np.zeros((m.rank_at(tgt), r), dtype=object)
+                assert (ef - fe == expected).all(), (k, i, j)
+
+
+def test_ef_commutator_on_interior_slices(a2_adjoint):
+    _check_ef_commutators(a2_adjoint)
+
+
+@pytest.mark.parametrize(
+    "gcm,lam,depth",
+    [
+        (triangle_with_pendant_gcm(), (1, 1, 1, 1), 4),
+        (e_gcm(10), (1,) * 10, 3),
+    ],
+    ids=["rank4-d4", "e10-d3"],
+)
+def test_ef_commutator_on_hyperbolic_slices(gcm, lam, depth):
+    _check_ef_commutators(build_module(gcm, DominantWeight(lam), depth))
 
 
 def test_operator_block_m0_is_identity(a2_adjoint):
@@ -205,38 +243,3 @@ def test_rank4_first_weight_spaces():
         assert m.rank_at(e) == 1
         # f_i^2 v_lambda = 0 for lambda_i = 1
         assert m.rank_at(tuple(2 * c for c in e)) == 0
-
-
-@pytest.mark.parametrize(
-    "gcm,lam,depth",
-    [
-        (triangle_with_pendant_gcm(), (1, 1, 1, 1), 5),
-        (e_gcm(10), (1,) * 10, 3),
-    ],
-    ids=["rank4-d5", "e10-d3"],
-)
-def test_basis_lift_pairs_to_scaled_basis(gcm, lam, depth):
-    # The stored lifts are lift_den * (Verma vectors) whose pairing vectors
-    # are the basis rows: basis_lift @ gram == lift_den * basis_psi exactly.
-    m = build_module(gcm, DominantWeight(lam), depth)
-    for sl in m.slices.values():
-        assert sl.basis_lift.shape == sl.basis_psi.shape == (sl.rank, len(sl.monomials))
-        assert sl.lift_den >= 1
-        assert np.array_equal(sl.basis_lift @ sl.gram, sl.lift_den * sl.basis_psi)
-
-
-def test_operator_blocks_divide_by_lift_den(monkeypatch):
-    # Every slice met so far solves with lift_den == 1, so scale the lifts
-    # by hand while building: the operator blocks must not change.
-    gcm, lam = triangle_with_pendant_gcm(), DominantWeight((1, 1, 1, 1))
-    before = module_to_json(build_module(gcm, lam, 4))
-    lift_basis = weightmod._lift_basis
-
-    def scaled_lift_basis(g, psi, pivots):
-        den, lift = lift_basis(g, psi, pivots)
-        return 3 * den, 3 * lift
-
-    monkeypatch.setattr(weightmod, "_lift_basis", scaled_lift_basis)
-    m = build_module(gcm, lam, 4)
-    assert all(sl.lift_den == 3 for sl in m.slices.values())
-    assert module_to_json(m) == before
