@@ -115,6 +115,8 @@ def _build(args):
         )
     except DepthOverflow as exc:
         raise _CliError(EXIT_INVALID, f"DepthOverflow: {exc}")
+    except ValueError as exc:  # a negative depth
+        raise _CliError(EXIT_INVALID, f"ValueError: {exc}")
 
 
 def cmd_classify(args) -> int:

@@ -3,19 +3,21 @@
 Construction per weight space (depth vector k, weight mu = lambda - sum k_i
 alpha_i), slice by slice in order of depth:
 
-  1. span the Verma slice by f-monomials in lexicographic order and build
-     the sparse matrices E_i(k) of e_i on it;
-  2. embed the slice of the irreducible quotient through pairing vectors
-     (<x, f_w v_lambda>)_w against all monomials w (this kills exactly the
-     radical of the contravariant form);
-  3. the Z-lattice of the slice is spanned by f_i^(m) b over all i, m >= 1
+  1. the Z-lattice of the slice is spanned by f_i^(m) b over all i, m >= 1
      and basis vectors b of the shallower slice s = k - m alpha_i, since
-     V_Z = U_Z^- v_lambda and U_Z^- is spanned by divided-power monomials.
-     By contravariance <f_i^m b, f_w v> = <b, e_i^m f_w v>, so the rows
-     psi_s E_i(s + alpha_i) ... E_i(k) are L_s * m! times the pairing
-     vectors of these generators, where psi_s / L_s are those of s's basis;
-  4. the basis is the Hermite normal form of the generators, scaled to one
-     common denominator L_k;
+     V_Z = U_Z^- v_lambda and U_Z^- is spanned by divided-power monomials;
+  2. a vector x of the slice is recorded by its pairing vector
+     (<x, f_w v_lambda>)_w against the words w of content k in
+     lexicographic order (this kills exactly the radical of the
+     contravariant form).  By contravariance the columns of the words
+     j w' are the pairing vector of e_j x in the slice k - alpha_j, so no
+     Verma module is built;
+  3. for a generator, e_j f_i^(m) b = f_i^(m) e_j b + delta_ij
+     (<nu, alpha_i^vee> - m + 1) f_i^(m-1) b, nu the weight of b
+     (Humphreys, Introduction to Lie Algebras and Representation Theory,
+     26.2), and every block on the right is one of the shallower slices;
+  4. the basis is the Hermite normal form of the generators' pairing
+     vectors, scaled to one common denominator L_k: its rows are psi_k;
   5. the block of f_i^(m) from s into k expresses each generator in that
      basis, and the block of e_i^(m) out of k reads psi_k at the monomials
      i^m w, since <e_i^(m) b, f_w v> = <b, f_i^m f_w v> / m!.  Every block
@@ -125,6 +127,10 @@ class TruncatedModule:
 
     def operator_block(self, sign: str, i: int, m: int, source) -> np.ndarray:
         """Integer block of e_i^(m) or f_i^(m) out of one weight slice."""
+        if sign not in ("e", "f"):
+            raise ValueError("sign must be 'e' or 'f'")
+        if m < 0:
+            raise ValueError("power must be >= 0")
         k = tuple(source)
         if k not in self.slices:
             raise SliceOutOfRange(f"no slice at {k}")
@@ -158,29 +164,6 @@ def _depth_vectors(rank: int, max_depth: int):
             yield tuple(k)
 
 
-def _monomials(k: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All words with content k, lexicographically sorted."""
-    out: list[tuple[int, ...]] = []
-    word: list[int] = []
-    counts = list(k)
-    total = sum(counts)
-
-    def rec():
-        if len(word) == total:
-            out.append(tuple(word))
-            return
-        for i, c in enumerate(counts):
-            if c:
-                counts[i] -= 1
-                word.append(i)
-                rec()
-                word.pop()
-                counts[i] += 1
-
-    rec()
-    return out
-
-
 def build_module(
     gcm: GeneralizedCartanMatrix,
     lam: DominantWeight,
@@ -197,21 +180,13 @@ def build_module(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     mod = TruncatedModule(gcm, lam, depth)
-    index: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    # (i, k) -> sparse columns of e_i on the Verma slice k: a list over the
-    # source monomials of [(target row index, coefficient)].  Only needed
-    # while building, so it is not kept on the module.
-    e_verma: dict[tuple[int, tuple[int, ...]], list] = {}
     total = 0
 
     for k in _depth_vectors(gcm.rank, depth):
-        mons = _monomials(k)
-        index[k] = {w: a for a, w in enumerate(mons)}
-        _build_e_matrices(e_verma, gcm, lam, k, mons, index)
-        sl = _build_slice(mod, e_verma, k, mons)
+        sl = _build_slice(mod, k)
         mod.slices[k] = sl
         if sl.rank:
-            _build_e_blocks(mod, index[k], sl)
+            _build_e_blocks(mod, sl)
         total += sl.rank
         if max_basis is not None and total > max_basis:
             raise DepthOverflow(
@@ -225,71 +200,35 @@ def build_module(
     return mod
 
 
-def _build_e_matrices(e_verma, gcm, lam, k, mons, index):
-    """Sparse columns of e_i on the Verma slice k.
-
-    e_i f_j w' = f_j (e_i w') + delta_ij <mu', alpha_i^vee> w' where mu' is
-    the weight of the tail content.
-    """
-    rank = gcm.rank
-    for i in range(rank):
-        tgt = _shift(k, i, -1)
-        if tgt[i] < 0:
-            continue
-        tgt_idx = index[tgt]
-        # <mu', alpha_i^vee> for mu' the weight of content k - e_i
-        pairing = lam.coords[i] - sum(
-            kj * gcm.a(i, j) for j, kj in enumerate(tgt)
-        )
-        cols = []
-        sub_tail_cache: dict[int, list] = {}
-        for word in mons:
-            j, tail = word[0], word[1:]
-            entries: dict[int, int] = {}
-            sub_key = (i, _shift(k, j, -1))
-            sub = e_verma.get(sub_key)
-            if sub is not None:
-                if j not in sub_tail_cache:
-                    sub_tail_cache[j] = _monomials(_shift(tgt, j, -1))
-                sub_mons = sub_tail_cache[j]
-                tail_idx = index[_shift(k, j, -1)][tail]
-                for t, c in sub[tail_idx]:
-                    row = tgt_idx[(j,) + sub_mons[t]]
-                    entries[row] = entries.get(row, 0) + c
-            if j == i:
-                row = tgt_idx[tail]
-                entries[row] = entries.get(row, 0) + pairing
-            cols.append([(r, c) for r, c in entries.items() if c])
-        e_verma[(i, k)] = cols
-
-
-def _times_e(rows, cols):
-    """rows @ E for the sparse e-matrix E given by its column lists."""
-    return [[sum(x[r] * c for r, c in col) for col in cols] for x in rows]
-
-
-def _build_slice(mod: TruncatedModule, e_verma, k, mons) -> WeightSlice:
+def _build_slice(mod: TruncatedModule, k) -> WeightSlice:
     """The slice k, from the generators f_i^(m) b, and the f-blocks into it."""
     if not any(k):
-        return WeightSlice(k, mons, 1, 1, obj_array([[1]]), [0])
-    gens = []  # (i, m, source slice, L_s * m! * generator pairing vectors)
-    for i in range(len(k)):
-        for m in range(1, k[i] + 1):
-            src = mod.slices[_shift(k, i, -m)]
-            if src.rank == 0:
-                continue
-            rows = [[int(v) for v in row] for row in src.basis_psi]
-            for step in range(m - 1, -1, -1):
-                rows = _times_e(rows, e_verma[(i, _shift(k, i, -step))])
-            gens.append((i, m, src, rows))
-    dens = [src.denom * math.factorial(m) for _, m, src, _ in gens]
-    denom = math.lcm(*dens)
-    hnf_in = [
-        [(denom // den) * v for v in row]
-        for (_, _, _, rows), den in zip(gens, dens)
-        for row in rows
-        if any(row)  # a generator in the radical adds nothing
+        return WeightSlice(k, [()], 1, 1, obj_array([[1]]), [0])
+    # words of content k in lex order: first letter j, then a word of k - alpha_j
+    below = [(j, mod.slices[_shift(k, j, -1)]) for j, kj in enumerate(k) if kj]
+    mons = [(j,) + w for j, t in below for w in t.monomials]
+    gens = [  # (i, m, source slice)
+        (i, m, src)
+        for i, kj in enumerate(k)
+        for m in range(1, kj + 1)
+        if (src := mod.slices[_shift(k, i, -m)]).rank
     ]
+    denom = math.lcm(*(src.denom * math.factorial(m) for _, m, src in gens))
+    # row a of gen_rows[g] is L_k times the pairing vector of f_i^(m) b_a;
+    # its columns of first letter j pair e_j f_i^(m) b_a with k - alpha_j
+    gen_rows = [
+        np.hstack([
+            _rescale(
+                _e_image(mod, j, i, m, src.depth_vector).T @ t.basis_psi,
+                denom,
+                t.denom,
+            )
+            for j, t in below
+        ])
+        for i, m, src in gens
+    ]
+    # a generator in the radical adds nothing
+    hnf_in = [row for rows in gen_rows for row in rows if any(row)]
     basis = hnf_rows(hnf_in) if hnf_in else []
     r = len(basis)
     sl = WeightSlice(
@@ -300,16 +239,41 @@ def _build_slice(mod: TruncatedModule, e_verma, k, mons) -> WeightSlice:
         basis_psi=obj_array(basis) if r else zeros_obj(0, len(mons)),
         pivots=[next(j for j, v in enumerate(row) if v) for row in basis],
     )
-    for (i, m, src, rows), den in zip(gens, dens):
+    for (i, m, src), rows in zip(gens, gen_rows):
         mod.ops.setdefault(("f", i, m), {})[src.depth_vector] = _block_in_basis(
-            sl, src.rank, den, rows
+            sl, src.rank, denom, rows
         )
     return sl
 
 
-def _build_e_blocks(mod: TruncatedModule, idx, sl: WeightSlice):
+def _e_image(mod: TruncatedModule, j: int, i: int, m: int, s) -> np.ndarray:
+    """Block of e_j f_i^(m) out of slice s, from the blocks of shallower slices.
+
+    e_j f_i^(m) = f_i^(m) e_j + delta_ij f_i^(m-1) (h_i - m + 1), where f^(0)
+    is the identity and e_j is zero on s when s[j] = 0.
+    """
+    out = 0
+    if j == i:
+        h = mod.coroot_pairing(s, i)
+        out = (h - m + 1) * mod.operator_block("f", i, m - 1, s)
+    if s[j]:
+        e_j = mod.operator_block("e", j, 1, s)
+        out = out + mod.operator_block("f", i, m, _shift(s, j, -1)) @ e_j
+    return out
+
+
+def _rescale(num, new_den: int, old_den: int):
+    """num * new_den / old_den, which must be integral."""
+    num = num * new_den
+    if (num % old_den).any():
+        raise ZFormError("pairing vector is not integral at the common denominator")
+    return num // old_den
+
+
+def _build_e_blocks(mod: TruncatedModule, sl: WeightSlice):
     """Blocks of e_i^(m) out of sl: psi at the monomials i^m w, / (L m!)."""
     k = sl.depth_vector
+    idx = {w: a for a, w in enumerate(sl.monomials)}
     for i in range(len(k)):
         for m in range(1, k[i] + 1):
             tgt = mod.slices[_shift(k, i, -m)]
@@ -360,10 +324,6 @@ def divided_power_matrix(
     module: TruncatedModule, i: int, m: int, sign: str, source
 ) -> np.ndarray:
     """Exact integer matrix of e_i^(m) / f_i^(m) out of one depth slice."""
-    if sign not in ("e", "f"):
-        raise ValueError("sign must be 'e' or 'f'")
-    if m < 0:
-        raise ValueError("power must be >= 0")
     return module.operator_block(sign, i, m, source)
 
 

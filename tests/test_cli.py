@@ -127,6 +127,26 @@ def test_module_max_basis_overflow(capsys, a2_file):
     assert code == EXIT_INVALID
 
 
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("module", []),
+        ("verify", []),
+        ("kernel", []),
+        ("word", ["--word", "S1"]),
+        ("commutator-signs", []),
+    ],
+)
+def test_negative_depth_is_invalid_input(capsys, a2_file, command, extra):
+    code = main(
+        [command, "--gcm", a2_file, "--lambda", "1,1", "--depth", "-1", *extra]
+    )
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: depth must be >= 0\n"
+
+
 def test_verify_ok(capsys, a2_file):
     code, out = run(
         capsys,

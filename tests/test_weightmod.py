@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import kmgroups.weightmod as weightmod
 from kmgroups.cartan import (
     NotSimplyLaced,
     e_gcm,
@@ -16,6 +18,7 @@ from kmgroups.weightmod import (
     NonDominantWeight,
     SliceOutOfRange,
     TruncatedModule,
+    ZFormError,
     _shift,
     build_module,
     divided_power_matrix,
@@ -199,6 +202,15 @@ def test_operator_block_out_of_range(a2_adjoint):
         a2_adjoint.operator_block("f", 0, 4, (2, 2))
 
 
+def test_operator_block_validation(a2_adjoint):
+    # (1, 1) has slices on both sides along node 0, so only the checks
+    # themselves can reject these
+    with pytest.raises(ValueError, match="sign"):
+        a2_adjoint.operator_block("x", 0, 1, (1, 1))
+    with pytest.raises(ValueError, match="power"):
+        a2_adjoint.operator_block("f", 0, -1, (1, 1))
+
+
 def test_divided_power_matrix_validation(a2_adjoint):
     with pytest.raises(ValueError):
         divided_power_matrix(a2_adjoint, 0, 1, "g", (0, 0))
@@ -241,3 +253,44 @@ def test_rank4_first_weight_spaces():
         assert m.rank_at(e) == 1
         # f_i^2 v_lambda = 0 for lambda_i = 1
         assert m.rank_at(tuple(2 * c for c in e)) == 0
+
+
+# -- slice construction -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "gcm,lam,depth",
+    [
+        (triangle_with_pendant_gcm(), (1, 1, 1, 1), 4),
+        (e_gcm(10), (1,) * 10, 2),
+    ],
+    ids=["rank4-d4", "e10-d2"],
+)
+def test_slice_monomials_are_the_sorted_words_of_its_content(gcm, lam, depth):
+    # the pairing columns of each first letter are laid out in this order
+    m = build_module(gcm, DominantWeight(lam), depth)
+    for k, sl in m.slices.items():
+        word = [i for i, c in enumerate(k) for _ in range(c)]
+        assert sl.monomials == sorted(set(itertools.permutations(word))), k
+
+
+@pytest.mark.parametrize(
+    "gcm,lam",
+    [(path_gcm(2), (1, 1)), (triangle_with_pendant_gcm(), (1, 1, 1, 1))],
+    ids=["a2", "rank4"],
+)
+def test_wrong_e_image_is_caught(monkeypatch, gcm, lam):
+    # e_i f_i b gains an extra b.  (The same extra f_i^(m-1) b for every m
+    # would shift each <nu, alpha_i^vee> by 1: a consistent build of
+    # V^(lambda + rho), which no lattice check can catch.)
+    real = weightmod._e_image
+
+    def wrong(mod, j, i, m, s):
+        out = real(mod, j, i, m, s)
+        if j == i and m == 1:
+            out = out + np.eye(mod.rank_at(s), dtype=object)
+        return out
+
+    monkeypatch.setattr(weightmod, "_e_image", wrong)
+    with pytest.raises(ZFormError):
+        build_module(gcm, DominantWeight(lam), 4)
