@@ -33,7 +33,6 @@ from .groupgen import (
     WordSyntaxError,
     evaluate_word,
     parse_word,
-    read_column,
 )
 from .verifier import (
     OracleMismatch,
@@ -200,7 +199,8 @@ def cmd_commutator_signs(args) -> int:
     ):
         try:
             eps = resolve_commutator_sign(module, i, j)
-        except WindowEmpty:
+        except WindowEmpty as exc:
+            _emit({"error": f"WindowEmpty: {exc}"}, args.out)
             return EXIT_WINDOW_EMPTY
         except SignAmbiguous:
             eps = None  # both signs verify, as R11 reports it in `verify`
@@ -226,10 +226,9 @@ def cmd_word(args) -> int:
         raise _CliError(EXIT_INVALID, f"{type(exc).__name__}: {exc}")
     mat = evaluate_word(module, symbols)
     window = mat.valid_depth()
-    by_source = mat.by_source()
     columns = []
     for k, c in mat.exact_columns():
-        image = read_column(by_source.get(k, ()), c)
+        image = mat.column(k, c)
         columns.append(
             {
                 "source": {"depth_vector": list(k), "index": c},

@@ -1,22 +1,35 @@
 """Group generators acting on a depth-truncated Z-form.
 
-The representation matrices are block-sparse over the weight decomposition:
-a WindowedMatrix stores one integer block per (target slice, source slice)
-pair, together with a per-column exactness flag.  chi_plus(i, t) is exact on
-every column (e_i lowers depth, so the truncation loses nothing).
-chi_minus(i, t) raises depth; a column is exact only if the f_i-string of
-that basis vector terminates inside the truncation.  Composition propagates
-the flags: a column of a product is exact when the inner factor's column is
-exact and every basis vector it touches sits in an exact column of the
-outer factor.
+The basis of the module is numbered globally: the nonzero slices in
+weight_keys() order, each at its offset, so a group element is one sparse
+n x n integer matrix.  A WindowedMatrix stores it in compressed sparse
+column (CSC) form, as numpy arrays indptr / indices / data with sorted row
+indices and no stored zeros, together with one boolean exactness flag per
+column.  chi_plus(i, t) is exact on every column (e_i lowers depth, so the
+truncation loses nothing).  chi_minus(i, t) raises depth; a column is exact
+only if the f_i-string of that basis vector terminates inside the
+truncation.
 
-Every per-column operation works one source slice at a time.  A product
-groups the inner factor's blocks by source; a column of source src can
-only touch rows of the blocks (mid, src), so only those are scanned, and
-only at the rows of mid whose columns are inexact in the outer factor.
-Column reads group a matrix's blocks by source once per comparison.  The
-groupings are built per call and never stored on the matrix: generator
-matrices are cached for the whole run.
+A product is a vectorised sparse-times-sparse step: every nonzero B[k, j]
+of the right factor expands into A[:, k] * B[k, j], the partial products
+are sorted on the key j * n + row and summed with np.add.reduceat, and the
+sums that vanish are dropped; this runs on whole columns of B, about
+PIECE partial products at a time, so the scratch memory stays bounded.
+The flags follow in one pass over the nonzeros of B: column j of A @ B
+is exact when column j of B is exact and no row k with B[k, j] != 0 is
+an inexact column of A.
+
+Arithmetic is exact.  Every entry of A @ B is at most
+max|A| * max|B| * (largest number of nonzeros in a column of B) in absolute
+value, and so is every partial sum; when that bound is below 2^62 the
+product runs on int64 data, otherwise the same code runs on dtype=object
+data, where numpy's * and add.reduceat act on Python ints.  A generator's
+data is object when some t^m times an operator entry reaches 2^62.
+
+The generator context of a module (GeneratorContext) holds the numbering,
+one shared identity and the generator cache.  It is made at the first
+generator request and lives as long as the module; a matrix keeps its
+context, but not its module, alive.
 
 The "window" of a matrix is the largest depth d such that all columns of
 depth <= d are exact; equality of two group elements is only asserted on
@@ -26,10 +39,19 @@ the intersection of their windows.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
-from .linalg import eye_obj
+import numpy as np
+
+from .linalg import zeros_obj
 from .weightmod import TruncatedModule, _shift
+
+# int64 data while every entry and partial sum stays below this
+INT64_LIMIT = 2**62
+# partial products expanded at once by a product (a bound on scratch memory)
+PIECE = 1 << 14
 
 
 class NonUnitScalar(ValueError):
@@ -61,98 +83,186 @@ class GeneratorSymbol:
         return self
 
 
-class WindowedMatrix:
-    """Block matrix over the weight slices with per-column exact flags."""
+class GeneratorContext:
+    """The global basis numbering of one module and its generator cache."""
 
-    def __init__(self, module: TruncatedModule, blocks=None, exact=None):
-        self.module = module
-        self.blocks: dict = {} if blocks is None else blocks
-        if exact is None:
-            exact = {
-                k: [True] * module.slices[k].rank for k in module.slices
-            }
-        self.exact = exact
+    def __init__(self, module: TruncatedModule):
+        self._module = weakref.ref(module)
+        self.depth = module.depth
+        self.keys = module.weight_keys()
+        self.offset: dict = {}
+        self.rank: dict = {}
+        row_key: list = []
+        for k in self.keys:
+            self.offset[k] = len(row_key)
+            self.rank[k] = module.slices[k].rank
+            row_key += [k] * self.rank[k]
+        self.n = n = len(row_key)
+        self.row_key = row_key  # slice of each basis vector
+        self.row_pos = [j - self.offset[k] for j, k in enumerate(row_key)]
+        self.slice_of = np.repeat(
+            np.arange(len(self.keys)), [self.rank[k] for k in self.keys]
+        )
+        self.depth_of = np.array([sum(k) for k in row_key], dtype=np.int64)
+        self.all_keys = list(module.slices)  # the keys of the .exact view
+        self.cols = np.arange(n, dtype=np.int64)
+        self.cache: dict = {}
+
+    @property
+    def module(self) -> TruncatedModule | None:
+        return self._module()
+
+    @cached_property
+    def identity(self) -> "WindowedMatrix":
+        return WindowedMatrix.identity(self.module)
+
+
+_CONTEXTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def generator_context(module: TruncatedModule) -> GeneratorContext:
+    """The module's context, made at the first request."""
+    ctx = _CONTEXTS.get(module)
+    if ctx is None:
+        ctx = _CONTEXTS[module] = GeneratorContext(module)
+    return ctx
+
+
+def _sum_sorted(key, vals):
+    """The entries vals at the sorted keys, equal keys summed, zeros dropped."""
+    if len(key):
+        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        vals = np.add.reduceat(vals, first)
+        keep = vals != 0
+        key, vals = key[first[keep]], vals[keep]
+    return key, vals
+
+
+def _from_keys(ctx: GeneratorContext, key, vals, flags) -> "WindowedMatrix":
+    """The matrix with entries vals at the sorted keys column * n + row."""
+    indptr = np.zeros(ctx.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // ctx.n, minlength=ctx.n), out=indptr[1:])
+    return WindowedMatrix(ctx, indptr, key % ctx.n, vals, flags)
+
+
+class WindowedMatrix:
+    """One CSC integer matrix over the global basis with per-column exact
+    flags.  Matrices are never modified after construction; .module is
+    None once the module is gone."""
+
+    def __init__(self, ctx: GeneratorContext, indptr, indices, data, flags):
+        self.ctx = ctx
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        self.flags = flags  # bool per column
+        self.max_abs = int(np.abs(data).max()) if len(data) else 0
+        self.max_col_nnz = int(np.diff(indptr).max())
+
+    @property
+    def module(self) -> TruncatedModule | None:
+        return self.ctx.module
 
     @classmethod
     def identity(cls, module: TruncatedModule) -> "WindowedMatrix":
+        """A new identity; the context keeps one shared identity."""
+        ctx = generator_context(module)
         return cls(
-            module,
-            {(k, k): eye_obj(sl.rank) for k, sl in module.slices.items() if sl.rank},
+            ctx, np.arange(ctx.n + 1), ctx.cols, np.ones(ctx.n, dtype=np.int64),
+            np.ones(ctx.n, dtype=bool),
         )
 
-    def by_source(self) -> dict:
-        """The blocks grouped by source slice: {src: [(tgt, block), ...]}."""
-        out: dict = {}
-        for (tgt, src), blk in self.blocks.items():
-            out.setdefault(src, []).append((tgt, blk))
+    @cached_property
+    def blocks(self) -> dict:
+        """Read-only view: {(target, source): dense object block} of the
+        nonzero blocks over the weight slices."""
+        ctx = self.ctx
+        cols = np.repeat(ctx.cols, np.diff(self.indptr))
+        tgt, src = ctx.slice_of[self.indices], ctx.slice_of[cols]
+        pair = tgt * len(ctx.keys) + src
+        order = np.argsort(pair, kind="stable")
+        out = {}
+        for sel in np.split(order, np.flatnonzero(np.diff(pair[order])) + 1):
+            if not len(sel):
+                continue  # the zero matrix
+            t, s = ctx.keys[tgt[sel[0]]], ctx.keys[src[sel[0]]]
+            blk = zeros_obj(ctx.rank[t], ctx.rank[s])
+            blk[self.indices[sel] - ctx.offset[t], cols[sel] - ctx.offset[s]] = (
+                self.data[sel].astype(object)
+            )
+            out[(t, s)] = blk
         return out
 
-    def column(self, src, c) -> dict:
-        """Nonzero entries of column c of source slice src, keyed by target.
+    @cached_property
+    def exact(self) -> dict:
+        """Read-only view: {depth vector: [flag per column]} over every slice."""
+        ctx = self.ctx
+        return {
+            k: self.flags[ctx.offset[k]:ctx.offset[k] + ctx.rank[k]].tolist()
+            if k in ctx.offset else []
+            for k in ctx.all_keys
+        }
 
-        To read many columns, group once with by_source() and read each
-        with read_column().
-        """
-        return read_column(
-            [(tgt, blk) for (tgt, s), blk in self.blocks.items() if s == src], c
-        )
+    def column(self, src, c) -> dict:
+        """Nonzero entries of column c of source slice src, keyed by target:
+        {target: tuple over the target slice's basis}."""
+        return self._column_at(self.ctx.offset[tuple(src)] + c)
+
+    def _column_at(self, j: int) -> dict:
+        ctx = self.ctx
+        lo, hi = self.indptr[j], self.indptr[j + 1]
+        out: dict = {}
+        for r, v in zip(self.indices[lo:hi].tolist(), self.data[lo:hi].tolist()):
+            k = ctx.row_key[r]
+            if k not in out:
+                out[k] = [0] * ctx.rank[k]
+            out[k][ctx.row_pos[r]] = v
+        return {k: tuple(col) for k, col in out.items()}
 
     def __matmul__(self, other: "WindowedMatrix") -> "WindowedMatrix":
-        if other.module is not self.module:
+        ctx = self.ctx
+        if other.ctx is not ctx:
             raise ValueError("matrices act on different modules")
-        outer_by_mid = self.by_source()
-        inner_by_src: dict = {}
-        blocks: dict = {}
-        summed = set()  # only a sum of nonzero products can vanish
-        for (mid, src), inner in other.blocks.items():
-            inner_by_src.setdefault(src, []).append((mid, inner))
-            for tgt, outer in outer_by_mid.get(mid, ()):
-                prod = outer @ inner
-                if not any(prod.flat):
-                    continue
-                key = (tgt, src)
-                if key in blocks:
-                    blocks[key] = blocks[key] + prod
-                    summed.add(key)
-                else:
-                    blocks[key] = prod
-        for key in summed:
-            if not any(blocks[key].flat):
-                del blocks[key]
-        exact: dict = {}
-        for src, flags in other.exact.items():
-            out_flags = list(flags)
-            for mid, inner in inner_by_src.get(src, ()):
-                # A column of inner touching a row of mid whose column is
-                # inexact in the outer factor is inexact in the product.
-                mid_flags = self.exact.get(mid)
-                bad = [
-                    r for r in range(inner.shape[0])
-                    if not (mid_flags and mid_flags[r])
-                ]
-                if not bad:
-                    continue
-                for c, ok in enumerate(out_flags):
-                    if ok and any(inner[r, c] for r in bad):
-                        out_flags[c] = False
-            exact[src] = out_flags
-        return WindowedMatrix(self.module, blocks, exact)
+        inner = other.indices  # row k of each nonzero B[k, j]
+        outer_col = np.repeat(ctx.cols, np.diff(other.indptr))  # its column j
+        # Column j is inexact if B[:, j] touches a column inexact in A.
+        flags = other.flags.copy()
+        flags[outer_col[~self.flags[inner]]] = False
+        dtype = object
+        if self.max_abs * other.max_abs * other.max_col_nnz < INT64_LIMIT:
+            dtype = np.int64
+        a, b = self.data.astype(dtype, copy=False), other.data.astype(dtype, copy=False)
+        # Each B[k, j] expands into the nonzeros of A[:, k].  Runs of whole
+        # columns of B, of about PIECE partial products each, are expanded,
+        # sorted and summed in turn, which bounds the scratch memory.
+        counts = np.diff(self.indptr)[inner]
+        done = np.concatenate(([0], np.cumsum(counts)))[other.indptr]
+        starts = np.searchsorted(done, np.arange(0, max(done[-1], 1), PIECE), "right")
+        bounds = other.indptr[np.append(starts - 1, ctx.n)]  # a repeat is empty
+        keys, vals = [], []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            c = counts[lo:hi]
+            idx = np.repeat(self.indptr[inner[lo:hi]] - (np.cumsum(c) - c), c)
+            idx += np.arange(len(idx))  # position in A of each partial product
+            key = np.repeat(outer_col[lo:hi] * ctx.n, c)
+            key += self.indices[idx]
+            val = a[idx]
+            del idx
+            val *= np.repeat(b[lo:hi], c)
+            order = np.argsort(key)
+            key, val = _sum_sorted(key[order], val[order])
+            keys.append(key)
+            vals.append(val)
+        return _from_keys(ctx, np.concatenate(keys), np.concatenate(vals), flags)
 
     def valid_depth(self) -> int:
         """Largest d with every depth <= d column exact; -1 if none."""
-        best = self.module.depth
-        for k, sl in self.module.slices.items():
-            if sl.rank and not all(self.exact[k]):
-                best = min(best, sum(k) - 1)
-        return best
+        bad = self.ctx.depth_of[~self.flags]
+        return min(self.ctx.depth, int(bad.min()) - 1) if len(bad) else self.ctx.depth
 
     def exact_columns(self) -> list[tuple[tuple[int, ...], int]]:
-        out = []
-        for k in self.module.weight_keys():
-            for c in range(self.module.slices[k].rank):
-                if self.exact[k][c]:
-                    out.append((k, c))
-        return out
+        ctx = self.ctx
+        return [(ctx.row_key[j], ctx.row_pos[j]) for j in np.flatnonzero(self.flags)]
 
     def equal_on_window(
         self, other: "WindowedMatrix", min_window: int = 0
@@ -165,65 +275,67 @@ class WindowedMatrix:
         Returns (equal, window, n_columns_compared).  Raises WindowEmpty if
         the joint window is below min_window.
         """
+        if other.ctx is not self.ctx:
+            raise ValueError("matrices act on different modules")
         window = min(self.valid_depth(), other.valid_depth())
         if window < min_window or window < 0:
             raise WindowEmpty(
                 f"joint validity window {window} below required {min_window}"
             )
-        compared = 0
-        equal = True
-        for _, _, mine, theirs in self.paired_columns(other):
-            compared += 1
-            if mine != theirs:
-                equal = False
-        return equal, window, compared
+        both = self.flags & other.flags
+        mine, theirs = np.diff(self.indptr), np.diff(other.indptr)
+        equal = np.array_equal(mine[both], theirs[both])
+        if equal:
+            # same nonzero counts: the entries of the compared columns align
+            sa, sb = np.repeat(both, mine), np.repeat(both, theirs)
+            equal = np.array_equal(
+                self.indices[sa], other.indices[sb]
+            ) and np.array_equal(self.data[sa], other.data[sb])
+        return bool(equal), window, int(both.sum())
 
     def paired_columns(self, other: "WindowedMatrix"):
         """Yield (src, c, column of self, column of other) for every column
         exact in both, in weight_keys() order."""
-        mine, theirs = self.by_source(), other.by_source()
-        for k in self.module.weight_keys():
-            own, their = mine.get(k, ()), theirs.get(k, ())
-            for c, both in enumerate(zip(self.exact[k], other.exact[k])):
-                if all(both):
-                    yield k, c, read_column(own, c), read_column(their, c)
+        ctx = self.ctx
+        for j in np.flatnonzero(self.flags & other.flags):
+            yield ctx.row_key[j], ctx.row_pos[j], self._column_at(j), other._column_at(j)
 
 
-def read_column(entries, c) -> dict:
-    """Nonzero entries of column c of one source slice's blocks, given as
-    [(tgt, block), ...], keyed by target."""
-    out = {}
-    for tgt, blk in entries:
-        col = blk[:, c]
-        if any(col):
-            out[tgt] = tuple(int(v) for v in col)
-    return out
-
-
-def _chi(module: TruncatedModule, sign: str, i: int, t: int) -> WindowedMatrix:
+def _chi(module: TruncatedModule, sign: str, i: int, t: int, flags) -> WindowedMatrix:
     """The identity plus t^m times every computed block of e_i^(m) (sign
-    "e") or f_i^(m) (sign "f"), m >= 1; all columns flagged exact.
+    "e") or f_i^(m) (sign "f"), m >= 1, with the given column flags.
 
     A (target, source) pair gets at most one block, since the target
     k -+ m alpha_i determines m.
     """
-    out = WindowedMatrix.identity(module)  # a fresh one: its blocks are edited
+    ctx = generator_context(module)
+    ident = ctx.identity
+    rows, cols, vals = [ident.indices], [ctx.cols], [ident.data.astype(object)]
     step = -1 if sign == "e" else 1
     for (s, node, m), blocks in module.ops.items():
         if s != sign or node != i:
             continue
         for k, blk in blocks.items():
             if blk.any():
-                out.blocks[(_shift(k, i, step * m), k)] = blk * (t**m)
-    return out
+                r, c = np.nonzero(blk)
+                rows.append(r + ctx.offset[_shift(k, i, step * m)])
+                cols.append(c + ctx.offset[k])
+                vals.append(blk[r, c] * t**m)
+    vals = np.concatenate(vals)
+    if int(np.abs(vals).max()) < INT64_LIMIT:
+        vals = vals.astype(np.int64)
+    key = np.concatenate(cols) * ctx.n + np.concatenate(rows)
+    order = np.argsort(key)
+    return _from_keys(ctx, *_sum_sorted(key[order], vals[order]), flags)
 
 
 def chi_plus(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
     """chi_{+alpha_i}(t) = sum_m t^m e_i^(m); exact on every column."""
+    ctx = generator_context(module)
     key = ("X+", i, int(t))
-    if key not in module._gen_cache:
-        module._gen_cache[key] = _chi(module, "e", i, t)
-    return module._gen_cache[key]
+    if key not in ctx.cache:
+        ctx.cache[key] = _chi(module, "e", i, t, np.ones(ctx.n, dtype=bool))
+    return ctx.cache[key]
 
 
 def chi_minus(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
@@ -238,60 +350,51 @@ def chi_minus(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
         sl2-component of v has highest weight <= p + 2r, hence
         f_i^(m) v = 0 for m > p + r.
     """
+    ctx = generator_context(module)
     key = ("X-", i, int(t))
-    if key in module._gen_cache:
-        return module._gen_cache[key]
-    out = _chi(module, "f", i, t)
-    for k, sl in module.slices.items():
-        if sl.rank == 0:
-            continue
+    if key in ctx.cache:
+        return ctx.cache[key]
+    flags = np.empty(ctx.n, dtype=bool)
+    for k in ctx.keys:
         m_max = module.depth - sum(k)
-        p = module.coroot_pairing(k, i)
-        r = [0] * sl.rank  # largest power with e_i^(r) v != 0
+        r = np.zeros(ctx.rank[k], dtype=np.int64)  # largest m, e_i^(m) v != 0
         for m in range(1, k[i] + 1):
             eblk = module.ops.get(("e", i, m), {}).get(k)
-            if eblk is None:
-                continue
-            for c in range(sl.rank):
-                if any(eblk[:, c]):
-                    r[c] = m
-        flags = [p + r[c] <= m_max for c in range(sl.rank)]
-        alive = [True] * sl.rank  # column still has a nonzero f_i^(m) image
+            if eblk is not None:
+                r[(eblk != 0).any(axis=0)] = m
+        ok = module.coroot_pairing(k, i) + r <= m_max
         for m in range(1, m_max + 1):
             blk = module.ops.get(("f", i, m), {}).get(k)
-            for c in range(sl.rank):
-                if alive[c] and (blk is None or not any(blk[:, c])):
-                    alive[c] = False
-                    flags[c] = True
-        out.exact[k] = flags
-    module._gen_cache[key] = out
-    return out
+            if blk is None:
+                ok[:] = True
+            else:
+                ok |= ~(blk != 0).any(axis=0)  # f_i^(m) kills the column
+        flags[ctx.offset[k]:ctx.offset[k] + ctx.rank[k]] = ok
+    ctx.cache[key] = _chi(module, "f", i, t, flags)
+    return ctx.cache[key]
 
 
 def w_tilde(module: TruncatedModule, i: int, t: int = 1) -> WindowedMatrix:
     """w~_i(t) = chi_+(t) chi_-(-t) chi_+(t), t a unit."""
     if t not in (1, -1):
         raise NonUnitScalar(f"w~ requires t = +-1, got {t}")
+    cache = generator_context(module).cache
     key = ("S", i, int(t))
-    if key in module._gen_cache:
-        return module._gen_cache[key]
-    xp = chi_plus(module, i, t)
-    xm = chi_minus(module, i, -t)
-    out = xp @ xm @ xp
-    module._gen_cache[key] = out
-    return out
+    if key not in cache:
+        xp = chi_plus(module, i, t)
+        cache[key] = xp @ chi_minus(module, i, -t) @ xp
+    return cache[key]
 
 
 def h_element(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
     """h_i(t) = w~_i(t) w~_i(1)^-1 = w~_i(t) w~_i(-1), t a unit."""
     if t not in (1, -1):
         raise NonUnitScalar(f"h requires t = +-1, got {t}")
+    cache = generator_context(module).cache
     key = ("H", i, int(t))
-    if key in module._gen_cache:
-        return module._gen_cache[key]
-    out = w_tilde(module, i, t) @ w_tilde(module, i, -1)
-    module._gen_cache[key] = out
-    return out
+    if key not in cache:
+        cache[key] = w_tilde(module, i, t) @ w_tilde(module, i, -1)
+    return cache[key]
 
 
 def generator_matrix(module: TruncatedModule, sym: GeneratorSymbol) -> WindowedMatrix:
@@ -309,14 +412,14 @@ def generator_matrix(module: TruncatedModule, sym: GeneratorSymbol) -> WindowedM
 def evaluate_word(module: TruncatedModule, symbols) -> WindowedMatrix:
     """Product of generator matrices, left factor applied last.
 
-    The empty word gives the identity.  A one-letter word gives the cached
-    generator matrix itself, so callers must not modify the result.
+    The empty word gives the context's shared identity and a one-letter
+    word the cached generator matrix itself.
     """
     out = None
     for sym in symbols:
         mat = generator_matrix(module, sym)
         out = mat if out is None else out @ mat
-    return WindowedMatrix.identity(module) if out is None else out
+    return generator_context(module).identity if out is None else out
 
 
 _TOKEN = re.compile(

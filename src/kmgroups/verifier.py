@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from .cartan import GeneralizedCartanMatrix, gcm_to_json
 from .groupgen import (
     GeneratorSymbol,
-    WindowedMatrix,
     WindowEmpty,
     evaluate_word,
+    generator_context,
     h_element,
 )
 from .weightmod import DominantWeight, TruncatedModule
@@ -275,7 +275,7 @@ def kernel_probe(module: TruncatedModule) -> dict:
     n = gcm.rank
     members = []
     not_separated = []
-    ident = WindowedMatrix.identity(module)
+    ident = generator_context(module).identity
     for mask in range(1 << n):
         subset = [i for i in range(n) if mask >> i & 1]
         crit = kernel_membership(gcm, lam, subset)

@@ -95,7 +95,6 @@ class TruncatedModule:
         self.slices: dict[tuple[int, ...], WeightSlice] = {}
         # (sign, i, m) -> {source depth_vector: (r_tgt x r_src) int matrix}
         self.ops: dict[tuple[str, int, int], dict[tuple[int, ...], np.ndarray]] = {}
-        self._gen_cache: dict = {}  # populated lazily by groupgen
         self._weight_keys: list[tuple[int, ...]] = []  # set by build_module
 
     # -- weights ----------------------------------------------------------

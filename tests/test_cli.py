@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,6 +245,41 @@ def test_commutator_signs_no_sign_is_a_failure(capsys, a2_file, monkeypatch):
     )
     assert code == EXIT_RELATION_FAILED
     assert json.loads(out)["error"].startswith("SignNone:")
+
+
+def test_commutator_signs_window_empty_reports_error(capsys, a2_file):
+    # at depth 0 the truncation is the highest weight line alone, and no
+    # column of the R11 words is exact
+    code, out = run(
+        capsys,
+        ["commutator-signs", "--gcm", a2_file, "--lambda", "1,1", "--depth", "0"],
+    )
+    assert code == EXIT_WINDOW_EMPTY
+    assert json.loads(out)["error"].startswith("WindowEmpty:")
+
+
+def test_pipeline_does_not_import_scipy(a2_file):
+    # scipy.sparse alone adds about 20 MB of resident memory; the verifier
+    # needs numpy only.  A fresh interpreter sees every import of the run.
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from kmgroups import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['verify', '--gcm', {a2_file!r},"
+        " '--lambda', '1,1', '--depth', '4'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy')]))\n"
+    )
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+    assert json.loads(done.stdout) == [EXIT_OK, []]
 
 
 def test_word_command(capsys, a2_file):

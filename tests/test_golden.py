@@ -5,6 +5,8 @@ for the case named in GOLDEN.  The rank-4 depth-5 outputs (`module`,
 187 kB, and `verify`, 11 kB) and the E10 lambda=1^10 depth-3 `module`
 (345 kB) are stored as the SHA-256 of those bytes.  The E10 depth-4
 `module` is at lambda=omega_1, where 995 of the 1001 slices are empty.
+The `word` cases in WORD_GOLDEN carry a scalar of 10^12, so their images
+reach 10^24 and pin the exact arbitrary-precision arithmetic.
 A refactor or speed-up of any layer must leave all of them identical: the
 integers they hold are the Z-form bases, operator blocks, relation reports
 and kernel verdicts.
@@ -66,3 +68,27 @@ def test_cli_output_matches_golden(capsys, tmp_path, command, diagram, lam, dept
         assert hashlib.sha256(out).hexdigest() == golden.read_text().strip()
     else:
         assert out == golden.read_bytes()
+
+
+# (diagram, lambda, depth, word): `kmgroups word` output, stored as JSON
+WORD_GOLDEN = [
+    ("a2", "1,1", 4, "X1(1000000000000)"),
+    ("rank4", "1,1,1,1", 4, "X1(1000000000000) Y2(-1000000000000) S3"),
+]
+
+
+@pytest.mark.parametrize(
+    "diagram,lam,depth,word",
+    WORD_GOLDEN,
+    ids=[f"word-{g}-d{d}" for g, _, d, _ in WORD_GOLDEN],
+)
+def test_word_output_matches_golden(capsys, tmp_path, diagram, lam, depth, word):
+    gcm_path = tmp_path / f"{diagram}.json"
+    gcm_path.write_text(json.dumps(gcm_to_json(DIAGRAMS[diagram])))
+    code = main(
+        ["word", "--gcm", str(gcm_path), "--lambda", lam, "--depth", str(depth),
+         "--word", word]
+    )
+    assert code == EXIT_OK
+    out = capsys.readouterr().out.encode()
+    assert out == (GOLDEN_DIR / f"word_{diagram}_d{depth}.json").read_bytes()

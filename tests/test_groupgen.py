@@ -254,6 +254,25 @@ def test_evaluate_word_empty_and_single_letter(rank4):
         _assert_matches_reference(ident, gen)
 
 
+def test_product_switches_to_object_data_at_the_int64_bound():
+    # sl2, V^(1) at depth 1, basis (v, f v): chi_plus(t) = [[1, t], [0, 1]]
+    # and chi_minus(u) = [[1, 0], [u, 1]].  The first column of chi_minus(u)
+    # has two nonzeros, so chi_plus(t) @ chi_minus(u) has the bound
+    # |t| * |u| * 2, and int64 data only below 2^62.
+    m = build_module(path_gcm(1), DominantWeight((1,)), 1)
+    t = 2**30
+    below = _assert_matches_reference(chi_plus(m, 0, t), chi_minus(m, 0, 2**31 - 1))
+    assert below.data.dtype == np.int64
+    above = _assert_matches_reference(chi_plus(m, 0, t), chi_minus(m, 0, 2**31))
+    assert above.data.dtype == object
+    # far above, int64 arithmetic would overflow
+    huge = _assert_matches_reference(chi_plus(m, 0, 2**40), chi_minus(m, 0, 2**40))
+    assert huge.column((0,), 0) == {(0,): (2**80 + 1,), (1,): (2**40,)}
+    # a generator's own data switches when t^m times an entry reaches 2^62
+    assert chi_plus(m, 0, 2**62 - 1).data.dtype == np.int64
+    assert chi_plus(m, 0, 2**62).data.dtype == object
+
+
 def test_generator_symbol_inverse():
     assert GeneratorSymbol("X+", 0, 3).inverse() == GeneratorSymbol("X+", 0, -3)
     assert GeneratorSymbol("S", 1, 1).inverse() == GeneratorSymbol("S", 1, -1)
