@@ -106,6 +106,10 @@ def validate_gcm(matrix, require_simply_laced: bool = False) -> GeneralizedCarta
     Raises NotGCM on axiom violations, NotSimplyLaced when simply-laced mode
     is requested and an off-diagonal entry is below -1.
     """
+    if not isinstance(matrix, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in matrix
+    ):
+        raise NotGCM(f"matrix must be a list of rows, got {matrix!r}")
     rows = [list(row) for row in matrix]
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
@@ -277,7 +281,10 @@ def gcm_to_json(gcm: GeneralizedCartanMatrix) -> dict:
 
 def gcm_from_json(data, require_simply_laced: bool = False) -> GeneralizedCartanMatrix:
     if isinstance(data, str):
-        data = json.loads(data)
-    if "matrix" not in data:
-        raise NotGCM('missing "matrix" key')
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise NotGCM(f"bad JSON text: {exc}")
+    if not isinstance(data, dict) or "matrix" not in data:
+        raise NotGCM('expected an object with a "matrix" key')
     return validate_gcm(data["matrix"], require_simply_laced=require_simply_laced)

@@ -38,6 +38,7 @@ from .verifier import (
     OracleMismatch,
     SignAmbiguous,
     SignNone,
+    column_json,
     kernel_probe,
     resolve_commutator_sign,
     verify_all,
@@ -226,18 +227,13 @@ def cmd_word(args) -> int:
         raise _CliError(EXIT_INVALID, f"{type(exc).__name__}: {exc}")
     mat = evaluate_word(module, symbols)
     window = mat.valid_depth()
-    columns = []
-    for k, c in mat.exact_columns():
-        image = mat.column(k, c)
-        columns.append(
-            {
-                "source": {"depth_vector": list(k), "index": c},
-                "image": [
-                    {"depth_vector": list(t), "entries": list(v)}
-                    for t, v in sorted(image.items())
-                ],
-            }
-        )
+    columns = [
+        {
+            "source": {"depth_vector": list(k), "index": c},
+            "image": column_json(mat.column(k, c)),
+        }
+        for k, c in mat.exact_columns()
+    ]
     payload = {
         "diagram": gcm_to_json(gcm),
         "lambda": list(lam.coords),

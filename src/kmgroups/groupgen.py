@@ -6,9 +6,10 @@ n x n integer matrix.  A WindowedMatrix stores it in compressed sparse
 column (CSC) form, as numpy arrays indptr / indices / data with sorted row
 indices and no stored zeros, together with one boolean exactness flag per
 column.  chi_plus(i, t) is exact on every column (e_i lowers depth, so the
-truncation loses nothing).  chi_minus(i, t) raises depth; a column is exact
-only if the f_i-string of that basis vector terminates inside the
-truncation.
+truncation loses nothing).  chi_minus(i, t) raises depth; a column is
+flagged exact if and only if the f_i-string of that basis vector ends
+inside the truncation, which the sharp sl2 rule f_i^(m) v = 0 <=> m > p + r
+decides for all columns at once (see chi_minus).
 
 A product is a vectorised sparse-times-sparse step: every nonzero B[k, j]
 of the right factor expands into A[:, k] * B[k, j], the partial products
@@ -103,7 +104,9 @@ class GeneratorContext:
         self.slice_of = np.repeat(
             np.arange(len(self.keys)), [self.rank[k] for k in self.keys]
         )
-        self.depth_of = np.array([sum(k) for k in row_key], dtype=np.int64)
+        # depth vector and depth of each basis vector
+        self.K = np.array(row_key, dtype=np.int64)
+        self.depth_of = self.K.sum(1)
         self.all_keys = list(module.slices)  # the keys of the .exact view
         self.cols = np.arange(n, dtype=np.int64)
         self.cache: dict = {}
@@ -301,21 +304,27 @@ class WindowedMatrix:
             yield ctx.row_key[j], ctx.row_pos[j], self._column_at(j), other._column_at(j)
 
 
-def _chi(module: TruncatedModule, sign: str, i: int, t: int, flags) -> WindowedMatrix:
-    """The identity plus t^m times every computed block of e_i^(m) (sign
-    "e") or f_i^(m) (sign "f"), m >= 1, with the given column flags.
+def _cached(module: TruncatedModule, kind: str, i: int, t: int, make) -> WindowedMatrix:
+    """The cached generator (kind, i, t) of the module, or make(ctx) on a miss."""
+    ctx = generator_context(module)
+    key = (kind, i, int(t))
+    if key not in ctx.cache:
+        ctx.cache[key] = make(ctx)
+    return ctx.cache[key]
+
+
+def _chi(ctx: GeneratorContext, sign: str, i: int, t: int, flags) -> WindowedMatrix:
+    """The identity plus t^m times every block of e_i^(m) (sign "e") or
+    f_i^(m) (sign "f"), 1 <= m <= depth, with the given column flags.
 
     A (target, source) pair gets at most one block, since the target
     k -+ m alpha_i determines m.
     """
-    ctx = generator_context(module)
     ident = ctx.identity
     rows, cols, vals = [ident.indices], [ctx.cols], [ident.data.astype(object)]
     step = -1 if sign == "e" else 1
-    for (s, node, m), blocks in module.ops.items():
-        if s != sign or node != i:
-            continue
-        for k, blk in blocks.items():
+    for m in range(1, ctx.depth + 1):
+        for k, blk in ctx.module.ops.get((sign, i, m), {}).items():
             if blk.any():
                 r, c = np.nonzero(blk)
                 rows.append(r + ctx.offset[_shift(k, i, step * m)])
@@ -331,70 +340,55 @@ def _chi(module: TruncatedModule, sign: str, i: int, t: int, flags) -> WindowedM
 
 def chi_plus(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
     """chi_{+alpha_i}(t) = sum_m t^m e_i^(m); exact on every column."""
-    ctx = generator_context(module)
-    key = ("X+", i, int(t))
-    if key not in ctx.cache:
-        ctx.cache[key] = _chi(module, "e", i, t, np.ones(ctx.n, dtype=bool))
-    return ctx.cache[key]
+    return _cached(
+        module, "X+", i, t, lambda ctx: _chi(ctx, "e", i, t, np.ones(ctx.n, dtype=bool))
+    )
 
 
 def chi_minus(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
     """chi_{-alpha_i}(t) = sum_m t^m f_i^(m).
 
-    A column is exact when its f_i-string provably terminates within the
-    truncation.  Two certificates are used:
-      * observed termination: some computable f_i^(m) kills the basis
-        vector (then all higher divided powers do too);
-      * the sl2 bound: with p = <mu, alpha_i^vee> and r the largest power
-        with e_i^(r) v != 0 (always computable, e_i lowers depth), every
-        sl2-component of v has highest weight <= p + 2r, hence
-        f_i^(m) v = 0 for m > p + r.
+    A column is flagged exact if and only if the f_i-string of its basis
+    vector v ends inside the truncation.  Let p = <mu, alpha_i^vee> for the
+    weight mu of v and r the largest power with e_i^(r) v != 0.  An
+    sl2-component of v of highest weight p + 2s has e_i^(s) as its last
+    nonzero raising power and f_i^(p+s) as its last nonzero lowering
+    power, and r is the largest such s, so f_i^(m) v = 0 if and only if
+    m > p + r (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, 7.2).  The column is exact iff p + r <= depth - depth(v).
+    r is read off chi_plus(i, 1): its row indices are sorted and depth
+    grows with the basis index, so a column's first row is its deepest
+    drop (the identity entry makes every column nonempty).
     """
-    ctx = generator_context(module)
-    key = ("X-", i, int(t))
-    if key in ctx.cache:
-        return ctx.cache[key]
-    flags = np.empty(ctx.n, dtype=bool)
-    for k in ctx.keys:
-        m_max = module.depth - sum(k)
-        r = np.zeros(ctx.rank[k], dtype=np.int64)  # largest m, e_i^(m) v != 0
-        for m in range(1, k[i] + 1):
-            eblk = module.ops.get(("e", i, m), {}).get(k)
-            if eblk is not None:
-                r[(eblk != 0).any(axis=0)] = m
-        ok = module.coroot_pairing(k, i) + r <= m_max
-        for m in range(1, m_max + 1):
-            blk = module.ops.get(("f", i, m), {}).get(k)
-            if blk is None:
-                ok[:] = True
-            else:
-                ok |= ~(blk != 0).any(axis=0)  # f_i^(m) kills the column
-        flags[ctx.offset[k]:ctx.offset[k] + ctx.rank[k]] = ok
-    ctx.cache[key] = _chi(module, "f", i, t, flags)
-    return ctx.cache[key]
+
+    def make(ctx):
+        up = chi_plus(module, i, 1)
+        r = ctx.depth_of - ctx.depth_of[up.indices[up.indptr[:-1]]]
+        p = module.lam.coords[i] - ctx.K @ np.array(module.gcm.entries[i])
+        return _chi(ctx, "f", i, t, p + r <= ctx.depth - ctx.depth_of)
+
+    return _cached(module, "X-", i, t, make)
 
 
 def w_tilde(module: TruncatedModule, i: int, t: int = 1) -> WindowedMatrix:
     """w~_i(t) = chi_+(t) chi_-(-t) chi_+(t), t a unit."""
     if t not in (1, -1):
         raise NonUnitScalar(f"w~ requires t = +-1, got {t}")
-    cache = generator_context(module).cache
-    key = ("S", i, int(t))
-    if key not in cache:
+
+    def make(ctx):
         xp = chi_plus(module, i, t)
-        cache[key] = xp @ chi_minus(module, i, -t) @ xp
-    return cache[key]
+        return xp @ chi_minus(module, i, -t) @ xp
+
+    return _cached(module, "S", i, t, make)
 
 
 def h_element(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
     """h_i(t) = w~_i(t) w~_i(1)^-1 = w~_i(t) w~_i(-1), t a unit."""
     if t not in (1, -1):
         raise NonUnitScalar(f"h requires t = +-1, got {t}")
-    cache = generator_context(module).cache
-    key = ("H", i, int(t))
-    if key not in cache:
-        cache[key] = w_tilde(module, i, t) @ w_tilde(module, i, -1)
-    return cache[key]
+    return _cached(
+        module, "H", i, t, lambda ctx: w_tilde(module, i, t) @ w_tilde(module, i, -1)
+    )
 
 
 def generator_matrix(module: TruncatedModule, sym: GeneratorSymbol) -> WindowedMatrix:

@@ -154,14 +154,15 @@ def _compare_matrices(lhs, rhs, min_window):
             if left != right:
                 witness = {
                     "column": {"depth_vector": list(k), "index": c},
-                    "lhs_image": _col_json(left),
-                    "rhs_image": _col_json(right),
+                    "lhs_image": column_json(left),
+                    "rhs_image": column_json(right),
                 }
                 break
     return equal, window, compared, witness
 
 
-def _col_json(col):
+def column_json(col):
+    """A column {target: entries}, as JSON sorted by target depth vector."""
     return [
         {"depth_vector": list(k), "entries": list(v)}
         for k, v in sorted(col.items())

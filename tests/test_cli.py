@@ -73,6 +73,26 @@ def test_classify_bad_json(capsys, tmp_path):
     assert code == EXIT_INVALID
 
 
+MALFORMED = {"number": 5, "matrix-number": {"matrix": 5},
+             "matrix-flat": {"matrix": [1, 2]}, "matrix-null": {"matrix": None},
+             "string": "abc"}
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+@pytest.mark.parametrize("shape", list(MALFORMED))
+def test_malformed_gcm_is_invalid_input(capsys, tmp_path, shape, command):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(MALFORMED[shape]))
+    argv = [command, "--gcm", str(p)]
+    if command == "verify":
+        argv += ["--lambda", "1,1", "--depth", "1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.out == ""
+    assert captured.err.startswith("error: NotGCM: ")
+
+
 def test_roots_command(capsys, a2_file):
     code, out = run(capsys, ["roots", "--gcm", a2_file, "--height", "5"])
     assert code == EXIT_OK

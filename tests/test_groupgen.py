@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kmgroups.cartan import path_gcm, triangle_with_pendant_gcm
+from kmgroups.cartan import e_gcm, path_gcm, triangle_with_pendant_gcm
 from kmgroups.groupgen import (
     GeneratorSymbol,
     NonUnitScalar,
@@ -132,6 +132,33 @@ def test_sl2_exactness_certificate(rank4):
     # with the string bound, w~ on a depth-4 truncation keeps a usable window
     for i in range(4):
         assert w_tilde(rank4, i, 1).valid_depth() >= 1
+
+
+SHARP_CASES = {
+    "a2-d3": (path_gcm(2), (1, 1), 3),
+    "rank4-d4": (triangle_with_pendant_gcm(), (1, 1, 1, 1), 4),
+    "e10-d2": (e_gcm(10), (1,) * 10, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(SHARP_CASES))
+def test_chi_minus_flags_are_sharp(case):
+    # A slice and its basis depend only on the depth vector, so column
+    # (k, c) is the same vector at depth d and d + 1.  It is flagged exact
+    # at d iff its f_i-string stops inside d, that is iff one depth deeper
+    # it has no target at depth d + 1; then the image does not change.
+    gcm, lam, d = SHARP_CASES[case]
+    low = build_module(gcm, DominantWeight(lam), d)
+    high = build_module(gcm, DominantWeight(lam), d + 1)
+    for i in range(gcm.rank):
+        y, deeper = chi_minus(low, i, 1), chi_minus(high, i, 1)
+        flagged = set(y.exact_columns())
+        for k in low.weight_keys():
+            for c in range(low.rank_at(k)):
+                image = deeper.column(k, c)
+                assert ((k, c) in flagged) == all(sum(t) <= d for t in image)
+                if (k, c) in flagged:
+                    assert y.column(k, c) == image
 
 
 def test_compose_flags_are_conservative(a2):
