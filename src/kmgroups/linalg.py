@@ -76,6 +76,8 @@ def hnf_rows(mat) -> list[list[int]]:
 
     The elimination is delegated to sympy's HNF, since plain gcd
     elimination suffers catastrophic coefficient swell on wide slices.
+    sympy already reduces the entries beside each pivot with floor
+    division, so its rows, sorted by pivot, need no further reduction.
     """
     from sympy.polys.domains import ZZ
     from sympy.polys.matrices import DomainMatrix
@@ -92,20 +94,10 @@ def hnf_rows(mat) -> list[list[int]]:
     data = [[ZZ.dtype(v) for v in reversed(row)] for row in rows]
     A = DomainMatrix(data, (len(rows), ncols), ZZ)
     H = _dm_hnf(A.transpose()).transpose()
-    basis = sorted(
+    return sorted(
         ([int(v) for v in reversed(hrow)] for hrow in H.to_list() if any(hrow)),
         key=_pivot,
     )
-    # Normalize: entries above each pivot reduced into [0, pivot).  Sweep
-    # pivots left to right so reductions never reintroduce large entries in
-    # an already-processed column.
-    for idx, row in enumerate(basis):
-        p = _pivot(row)
-        for up in range(idx):
-            q = basis[up][p] // row[p]  # floor keeps residue in [0, pivot)
-            if q:
-                basis[up] = [u - q * v for u, v in zip(basis[up], row)]
-    return basis
 
 
 def _pivot(row) -> int:

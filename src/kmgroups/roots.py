@@ -157,9 +157,7 @@ def is_prenilpotent(
     is a real root, so the pair is never prenilpotent.
     """
     for r in (alpha, beta):
-        if root_set is not None and r not in root_set and not is_real_root(gcm, r):
-            raise InputNotRealRoot(f"{r} is not a real root")
-        if root_set is None and not is_real_root(gcm, r):
+        if (root_set is None or r not in root_set) and not is_real_root(gcm, r):
             raise InputNotRealRoot(f"{r} is not a real root")
     if alpha == -beta:
         return False

@@ -17,16 +17,17 @@ alpha_i), slice by slice in order of depth:
      (Humphreys, Introduction to Lie Algebras and Representation Theory,
      26.2), and every block on the right is one of the shallower slices;
   4. the basis is the Hermite normal form of the generators' pairing
-     vectors, scaled to one common denominator L_k: its rows are psi_k;
+     vectors, which are integers: its rows are the pairing vectors psi_k;
   5. the block of f_i^(m) from s into k expresses each generator in that
      basis, and the block of e_i^(m) out of k reads psi_k at the monomials
-     i^m w, since <e_i^(m) b, f_w v> = <b, f_i^m f_w v> / m!.  Every block
-     is checked to be integral (the divided powers preserve the lattice; a
-     non-integral entry would be a bug, not a rounding issue).  As every
-     generator is expressed, this also checks the HNF against its input.
+     i^m w, since <e_i^(m) b, f_w v> = <b, f_i^m f_w v> / m!.  That m! is
+     the only division.  Every block is checked to be integral (the divided
+     powers preserve the lattice; a non-integral entry would be a bug, not a
+     rounding issue).  As every generator is expressed, this also checks
+     the HNF against its input.
 
-All scratch arithmetic is exact (ints with explicit denominators); every
-exposed matrix has integer entries.
+All arithmetic is exact over Python ints; every exposed matrix has integer
+entries.
 """
 
 from __future__ import annotations
@@ -74,10 +75,7 @@ class WeightSlice:
     depth_vector: tuple[int, ...]
     monomials: list[tuple[int, ...]]
     rank: int
-    # L: lcm of L_s * m! over the generators f_i^(m) b, b a basis vector of
-    # a source slice s = k - m alpha_i (1 when there are none)
-    denom: int
-    basis_psi: np.ndarray  # r x n ints: L * (pairing vector of basis vector a)
+    basis_psi: np.ndarray  # r x n ints: pairing vector of basis vector a
     pivots: list[int]  # pivot column of each basis_psi row
 
     @property
@@ -202,7 +200,7 @@ def build_module(
 def _build_slice(mod: TruncatedModule, k) -> WeightSlice:
     """The slice k, from the generators f_i^(m) b, and the f-blocks into it."""
     if not any(k):
-        return WeightSlice(k, [()], 1, 1, obj_array([[1]]), [0])
+        return WeightSlice(k, [()], 1, obj_array([[1]]), [0])
     # words of content k in lex order: first letter j, then a word of k - alpha_j
     below = [(j, mod.slices[_shift(k, j, -1)]) for j, kj in enumerate(k) if kj]
     mons = [(j,) + w for j, t in below for w in t.monomials]
@@ -212,16 +210,11 @@ def _build_slice(mod: TruncatedModule, k) -> WeightSlice:
         for m in range(1, kj + 1)
         if (src := mod.slices[_shift(k, i, -m)]).rank
     ]
-    denom = math.lcm(*(src.denom * math.factorial(m) for _, m, src in gens))
-    # row a of gen_rows[g] is L_k times the pairing vector of f_i^(m) b_a;
-    # its columns of first letter j pair e_j f_i^(m) b_a with k - alpha_j
+    # row a of gen_rows[g] is the pairing vector of f_i^(m) b_a; its
+    # columns of first letter j pair e_j f_i^(m) b_a with k - alpha_j
     gen_rows = [
         np.hstack([
-            _rescale(
-                _e_image(mod, j, i, m, src.depth_vector).T @ t.basis_psi,
-                denom,
-                t.denom,
-            )
+            _e_image(mod, j, i, m, src.depth_vector).T @ t.basis_psi
             for j, t in below
         ])
         for i, m, src in gens
@@ -234,13 +227,12 @@ def _build_slice(mod: TruncatedModule, k) -> WeightSlice:
         depth_vector=k,
         monomials=mons,
         rank=r,
-        denom=denom,
         basis_psi=obj_array(basis) if r else zeros_obj(0, len(mons)),
         pivots=[next(j for j, v in enumerate(row) if v) for row in basis],
     )
     for (i, m, src), rows in zip(gens, gen_rows):
         mod.ops.setdefault(("f", i, m), {})[src.depth_vector] = _block_in_basis(
-            sl, src.rank, denom, rows
+            sl, src.rank, 1, rows
         )
     return sl
 
@@ -261,16 +253,8 @@ def _e_image(mod: TruncatedModule, j: int, i: int, m: int, s) -> np.ndarray:
     return out
 
 
-def _rescale(num, new_den: int, old_den: int):
-    """num * new_den / old_den, which must be integral."""
-    num = num * new_den
-    if (num % old_den).any():
-        raise ZFormError("pairing vector is not integral at the common denominator")
-    return num // old_den
-
-
 def _build_e_blocks(mod: TruncatedModule, sl: WeightSlice):
-    """Blocks of e_i^(m) out of sl: psi at the monomials i^m w, / (L m!)."""
+    """Blocks of e_i^(m) out of sl: psi at the monomials i^m w, / m!."""
     k = sl.depth_vector
     idx = {w: a for a, w in enumerate(sl.monomials)}
     for i in range(len(k)):
@@ -278,7 +262,7 @@ def _build_e_blocks(mod: TruncatedModule, sl: WeightSlice):
             tgt = mod.slices[_shift(k, i, -m)]
             cols = [idx[(i,) * m + w] for w in tgt.monomials] if tgt.rank else []
             mod.ops.setdefault(("e", i, m), {})[k] = _block_in_basis(
-                tgt, sl.rank, sl.denom * math.factorial(m), sl.basis_psi[:, cols]
+                tgt, sl.rank, math.factorial(m), sl.basis_psi[:, cols]
             )
 
 
@@ -298,13 +282,14 @@ def _block_in_basis(tgt: WeightSlice, n_src: int, den: int, pairings):
 def _express_in_basis(sl: WeightSlice, num, den: int):
     """Coordinates of the vector with pairing profile num/den in sl's basis.
 
-    num is an integer pairing vector (length n); the slice basis rows are
-    basis_psi / sl.denom.  Raises ZFormError if the result is not integral.
+    num is an integer vector (length n); the slice basis rows are the
+    pairing vectors basis_psi.  Raises ZFormError if the result is not
+    integral.
     """
     r = sl.rank
     coords = [0] * r
     rem = np.empty(len(num), dtype=object)
-    rem[:] = [int(v) * sl.denom for v in num]  # target scaled by L2
+    rem[:] = [int(v) for v in num]
     for a in range(r):
         p = sl.pivots[a]
         if rem[p] == 0:
@@ -317,13 +302,6 @@ def _express_in_basis(sl: WeightSlice, num, den: int):
     if any(rem):
         raise ZFormError("operator image pairs outside the slice lattice span")
     return coords
-
-
-def divided_power_matrix(
-    module: TruncatedModule, i: int, m: int, sign: str, source
-) -> np.ndarray:
-    """Exact integer matrix of e_i^(m) / f_i^(m) out of one depth slice."""
-    return module.operator_block(sign, i, m, source)
 
 
 def module_to_json(module: TruncatedModule) -> dict:

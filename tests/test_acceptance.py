@@ -20,7 +20,7 @@ from kmgroups.roots import (
     simple_root,
 )
 from kmgroups.verifier import kernel_probe, verify_all
-from kmgroups.weightmod import DominantWeight, build_module, divided_power_matrix
+from kmgroups.weightmod import DominantWeight, build_module
 
 
 @pytest.fixture(scope="module")
@@ -150,13 +150,11 @@ def test_05_zform_integrality(rank4_modules):
                 )
                 if sum(tgt) > m.depth:
                     continue
-                fm = divided_power_matrix(m, i, power, "f", k)
+                fm = m.operator_block("f", i, power, k)
                 iterated = np.eye(m.rank_at(k), dtype=object)
                 src = k
                 for _ in range(power):
-                    iterated = (
-                        divided_power_matrix(m, i, 1, "f", src) @ iterated
-                    )
+                    iterated = m.operator_block("f", i, 1, src) @ iterated
                     src = tuple(
                         c + (1 if j == i else 0) for j, c in enumerate(src)
                     )

@@ -1,4 +1,5 @@
-"""The names that perfbench's traced mode (`run.py --trace 1`) wraps.
+"""The names that perfbench's traced mode (`run.py --trace 1`) wraps, and
+the attributes its hooks read.
 
 perfbench/tracing.py replaces package functions and methods by name, so a
 rename or a changed attribute in the package breaks a traced run without
@@ -50,3 +51,17 @@ def test_product_exposes_the_traced_attributes():
     assert isinstance(prod.blocks, dict) and prod.blocks
     assert set(prod.exact) == set(module.slices)
     assert prod.module.total_rank() == module.total_rank()
+
+
+def test_build_hook_reads_the_module(tracing):
+    # the hook run after build_module reads the slices and every ops block
+    module = build_module(path_gcm(2), DominantWeight((1, 1)), 4)
+    tracer = tracing.Tracer()
+    tracer._on_build((), module)
+    metrics = tracer.metrics()
+    assert metrics["weightmod.slices"] == len(module.slices)
+    assert metrics["weightmod.basis_vectors"] == module.total_rank() == 8
+    assert metrics["weightmod.monomials"] == sum(
+        len(s.monomials) for s in module.slices.values()
+    )
+    assert metrics["weightmod.max_entry_bits"] >= 1

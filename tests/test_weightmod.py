@@ -21,7 +21,6 @@ from kmgroups.weightmod import (
     ZFormError,
     _shift,
     build_module,
-    divided_power_matrix,
     module_to_json,
 )
 
@@ -61,14 +60,14 @@ def test_sl2_divided_powers_and_sl2_triple():
     m = build_module(path_gcm(1), DominantWeight((n,)), 6)
     # f^(m) v_lambda = basis vector of depth m; coefficients integral
     for d in range(n):
-        f1 = divided_power_matrix(m, 0, 1, "f", (d,))
+        f1 = m.operator_block("f", 0, 1, (d,))
         assert f1.shape == (1, 1)
     # e f - f e = h on interior slices
     for d in range(1, n):
-        e_up = divided_power_matrix(m, 0, 1, "e", (d,))
-        f_dn = divided_power_matrix(m, 0, 1, "f", (d,))
-        ef = divided_power_matrix(m, 0, 1, "e", (d + 1,)) @ f_dn
-        fe = divided_power_matrix(m, 0, 1, "f", (d - 1,)) @ e_up
+        e_up = m.operator_block("e", 0, 1, (d,))
+        f_dn = m.operator_block("f", 0, 1, (d,))
+        ef = m.operator_block("e", 0, 1, (d + 1,)) @ f_dn
+        fe = m.operator_block("f", 0, 1, (d - 1,)) @ e_up
         h = m.coroot_pairing((d,), 0)
         assert (ef - fe)[0, 0] == h
 
@@ -90,9 +89,9 @@ def _check_divided_equals_iterated(m, sign, max_power):
                 nxt = _shift(cur, i, step)
                 if min(nxt) < 0 or sum(nxt) > m.depth:
                     break
-                iterated = divided_power_matrix(m, i, 1, sign, cur) @ iterated
+                iterated = m.operator_block(sign, i, 1, cur) @ iterated
                 cur = nxt
-                divided = divided_power_matrix(m, i, power, sign, k)
+                divided = m.operator_block(sign, i, power, k)
                 assert (math.factorial(power) * divided == iterated).all(), (k, i, power)
                 if power > 1 and iterated.any():
                     checked += 1
@@ -211,13 +210,6 @@ def test_operator_block_validation(a2_adjoint):
         a2_adjoint.operator_block("f", 0, -1, (1, 1))
 
 
-def test_divided_power_matrix_validation(a2_adjoint):
-    with pytest.raises(ValueError):
-        divided_power_matrix(a2_adjoint, 0, 1, "g", (0, 0))
-    with pytest.raises(ValueError):
-        divided_power_matrix(a2_adjoint, 0, -1, "f", (0, 0))
-
-
 def test_module_json_deterministic(a2_adjoint):
     j1 = module_to_json(a2_adjoint)
     j2 = module_to_json(build_module(path_gcm(2), DominantWeight((1, 1)), 4))
@@ -272,6 +264,29 @@ def test_slice_monomials_are_the_sorted_words_of_its_content(gcm, lam, depth):
     for k, sl in m.slices.items():
         word = [i for i, c in enumerate(k) for _ in range(c)]
         assert sl.monomials == sorted(set(itertools.permutations(word))), k
+
+
+@pytest.mark.parametrize(
+    "gcm,lam,depth",
+    [
+        (path_gcm(2), (1, 1), 4),
+        (triangle_with_pendant_gcm(), (1, 1, 1, 1), 4),
+        (e_gcm(10), (1,) * 10, 3),
+    ],
+    ids=["a2-d4", "rank4-d4", "e10-d3"],
+)
+def test_basis_psi_rows_are_pairing_vectors(gcm, lam, depth):
+    # <b, f_w1 ... f_wn v> = <e_wn ... e_w1 b, v>: applying the e-blocks of
+    # w1, ..., wn to basis vector b gives its pairing with f_w v at v_lambda
+    m = build_module(gcm, DominantWeight(lam), depth)
+    for k in m.weight_keys():
+        sl = m.slices[k]
+        for col, word in enumerate(sl.monomials):
+            image, cur = np.eye(sl.rank, dtype=object), k
+            for j in word:
+                image = m.operator_block("e", j, 1, cur) @ image
+                cur = _shift(cur, j, -1)
+            assert (image[0] == sl.basis_psi[:, col]).all(), (k, word)
 
 
 @pytest.mark.parametrize(
