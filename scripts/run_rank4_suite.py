@@ -2,7 +2,8 @@
 """Run the full verification suite for the rank-4 hyperbolic diagram
 (triangle with a pendant vertex), lambda = (1,1,1,1), at depths 4-6.
 
-Writes one JSON artifact per depth plus a kernel/sign summary.
+Writes one verification report JSON per depth (rank4_depth{4,5,6}.json)
+and prints one status line per depth; exits 3 if any relation fails.
 
 Usage: python3 scripts/run_rank4_suite.py [output_dir]
 """

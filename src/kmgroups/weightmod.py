@@ -6,25 +6,27 @@ alpha_i), slice by slice in order of depth:
   1. the Z-lattice of the slice is spanned by f_i^(m) b over all i, m >= 1
      and basis vectors b of the shallower slice s = k - m alpha_i, since
      V_Z = U_Z^- v_lambda and U_Z^- is spanned by divided-power monomials;
-  2. a vector x of the slice is recorded by its pairing vector
-     (<x, f_w v_lambda>)_w against the words w of content k in
-     lexicographic order (this kills exactly the radical of the
-     contravariant form).  By contravariance the columns of the words
-     j w' are the pairing vector of e_j x in the slice k - alpha_j, so no
-     Verma module is built;
+  2. a vector x of the slice is recorded by its pairings <x, f_w v_lambda>
+     at the pivot words w = j w' of content k: t = k - alpha_j is
+     non-trivial and w' is the word of a pivot column of t's basis.  As
+     <x, f_j f_w' v_lambda> = <e_j x, f_w' v_lambda>, these columns are
+     c_j T_t, c_j the coordinates of e_j x and T_t = psi_t at its pivots
+     (r_t x r_t, upper triangular).  No Verma module is built;
   3. for a generator, e_j f_i^(m) b = f_i^(m) e_j b + delta_ij
      (<nu, alpha_i^vee> - m + 1) f_i^(m-1) b, nu the weight of b
      (Humphreys, Introduction to Lie Algebras and Representation Theory,
      26.2), and every block on the right is one of the shallower slices;
   4. the basis is the Hermite normal form of the generators' pairing
-     vectors, which are integers: its rows are the pairing vectors psi_k;
+     vectors, which are integers: its rows are the pairing vectors psi_k.
+     Over all words these are c diag(psi_t), an echelon matrix with its
+     pivots at the pivot words, so keeping those columns is injective and
+     by uniqueness gives the same HNF;
   5. the block of f_i^(m) from s into k expresses each generator in that
-     basis, and the block of e_i^(m) out of k reads psi_k at the monomials
-     i^m w, since <e_i^(m) b, f_w v> = <b, f_i^m f_w v> / m!.  That m! is
-     the only division.  Every block is checked to be integral (the divided
-     powers preserve the lattice; a non-integral entry would be a bug, not a
-     rounding issue).  As every generator is expressed, this also checks
-     the HNF against its input.
+     basis; the block of e_i out of k solves the columns of k - alpha_i
+     against T, and e_i^(m) = e_i e_i^(m-1) / m.  That m is the only
+     division.  Every block is checked to be integral (a non-integral
+     entry would be a bug, not a rounding issue), which also checks the
+     HNF against its input.
 
 All arithmetic is exact over Python ints; every exposed matrix has integer
 entries.
@@ -33,7 +35,6 @@ entries.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,8 @@ class WeightSlice:
     depth_vector: tuple[int, ...]
     monomials: list[tuple[int, ...]]
     rank: int
-    basis_psi: np.ndarray  # r x n ints: pairing vector of basis vector a
-    pivots: list[int]  # pivot column of each basis_psi row
+    basis_psi: np.ndarray  # r x sum r_t ints: pairings of basis vector a
+    pivots: list[int]  # pivot column of each basis_psi row (an index into it)
 
     @property
     def depth(self) -> int:
@@ -180,10 +181,7 @@ def build_module(
     total = 0
 
     for k in _depth_vectors(gcm.rank, depth):
-        sl = _build_slice(mod, k)
-        mod.slices[k] = sl
-        if sl.rank:
-            _build_e_blocks(mod, sl)
+        sl = mod.slices[k] = _build_slice(mod, k)
         total += sl.rank
         if max_basis is not None and total > max_basis:
             raise DepthOverflow(
@@ -198,25 +196,31 @@ def build_module(
 
 
 def _build_slice(mod: TruncatedModule, k) -> WeightSlice:
-    """The slice k, from the generators f_i^(m) b, and the f-blocks into it."""
+    """The slice k from the generators f_i^(m) b, with its f- and e-blocks."""
     if not any(k):
         return WeightSlice(k, [()], 1, obj_array([[1]]), [0])
     # words of content k in lex order: first letter j, then a word of k - alpha_j
-    below = [(j, mod.slices[_shift(k, j, -1)]) for j, kj in enumerate(k) if kj]
-    mons = [(j,) + w for j, t in below for w in t.monomials]
+    mons = [(j,) + w for j, kj in enumerate(k) if kj
+            for w in mod.slices[_shift(k, j, -1)].monomials]
+    # the non-trivial slices t = k - alpha_j, each with its pivot block
+    # T_t = psi_t at its pivots (r_t x r_t, upper triangular)
+    up = [
+        (j, t, t.basis_psi[:, t.pivots])
+        for j, kj in enumerate(k)
+        if kj and (t := mod.slices[_shift(k, j, -1)]).rank
+    ]
+    if not up:  # e_j x = 0 for every j puts x in the radical
+        return WeightSlice(k, mons, 0, zeros_obj(0, 0), [])
     gens = [  # (i, m, source slice)
         (i, m, src)
         for i, kj in enumerate(k)
         for m in range(1, kj + 1)
         if (src := mod.slices[_shift(k, i, -m)]).rank
     ]
-    # row a of gen_rows[g] is the pairing vector of f_i^(m) b_a; its
-    # columns of first letter j pair e_j f_i^(m) b_a with k - alpha_j
+    # row a of gen_rows[g] pairs f_i^(m) b_a with the pivot words j w of every
+    # t: the coordinates of e_j f_i^(m) b_a in t's basis, times T_t
     gen_rows = [
-        np.hstack([
-            _e_image(mod, j, i, m, src.depth_vector).T @ t.basis_psi
-            for j, t in below
-        ])
+        np.hstack([_e_image(mod, j, i, m, src.depth_vector).T @ T for j, _, T in up])
         for i, m, src in gens
     ]
     # a generator in the radical adds nothing
@@ -227,13 +231,29 @@ def _build_slice(mod: TruncatedModule, k) -> WeightSlice:
         depth_vector=k,
         monomials=mons,
         rank=r,
-        basis_psi=obj_array(basis) if r else zeros_obj(0, len(mons)),
+        basis_psi=obj_array(basis) if r else zeros_obj(0, sum(len(T) for *_, T in up)),
         pivots=[next(j for j, v in enumerate(row) if v) for row in basis],
     )
     for (i, m, src), rows in zip(gens, gen_rows):
-        mod.ops.setdefault(("f", i, m), {})[src.depth_vector] = _block_in_basis(
-            sl, src.rank, 1, rows
+        mod.ops.setdefault(("f", i, m), {})[src.depth_vector] = _in_basis(
+            sl.basis_psi, sl.pivots, rows
         )
+    if not r:
+        return sl
+    # block i of psi_k is (e_i out of k) T_t for t = k - alpha_i; then
+    # e_i^(m) = e_i e_i^(m-1) / m while the string stays in the module
+    col = 0
+    for i, t, T in up:
+        block = _in_basis(T, range(t.rank), sl.basis_psi[:, col:col + t.rank])
+        col += t.rank
+        mod.ops.setdefault(("e", i, 1), {})[k] = block
+        for m in range(2, k[i] + 1):
+            if not mod.rank_at(_shift(k, i, -m)):
+                break
+            block = mod.operator_block("e", i, 1, _shift(k, i, 1 - m)) @ block
+            if (block % m).any():
+                raise ZFormError(f"e_{i}^({m}) leaves the Z-lattice")
+            mod.ops.setdefault(("e", i, m), {})[k] = block = block // m
     return sl
 
 
@@ -253,55 +273,22 @@ def _e_image(mod: TruncatedModule, j: int, i: int, m: int, s) -> np.ndarray:
     return out
 
 
-def _build_e_blocks(mod: TruncatedModule, sl: WeightSlice):
-    """Blocks of e_i^(m) out of sl: psi at the monomials i^m w, / m!."""
-    k = sl.depth_vector
-    idx = {w: a for a, w in enumerate(sl.monomials)}
-    for i in range(len(k)):
-        for m in range(1, k[i] + 1):
-            tgt = mod.slices[_shift(k, i, -m)]
-            cols = [idx[(i,) * m + w] for w in tgt.monomials] if tgt.rank else []
-            mod.ops.setdefault(("e", i, m), {})[k] = _block_in_basis(
-                tgt, sl.rank, math.factorial(m), sl.basis_psi[:, cols]
-            )
-
-
-def _block_in_basis(tgt: WeightSlice, n_src: int, den: int, pairings):
-    """Block out of a source slice of rank n_src into tgt.
-
-    Row a of pairings is den times the pairing vector of the image of
-    source basis vector a; it is only read when tgt is non-trivial.
-    """
-    block = zeros_obj(tgt.rank, n_src)
-    if tgt.rank:
-        for a, num in enumerate(pairings):
-            block[:, a] = _express_in_basis(tgt, num, den)
+def _in_basis(basis, pivots, rows) -> np.ndarray:
+    """Coordinates, one column per row of rows, in the echelon basis whose
+    row a starts at column pivots[a]; ZFormError unless they are integers."""
+    block = zeros_obj(len(pivots), len(rows))
+    for c, row in enumerate(rows):
+        rem = np.array([int(v) for v in row], dtype=object)
+        for a, p in enumerate(pivots):
+            q, residue = divmod(rem[p], basis[a, p])
+            if residue:
+                raise ZFormError("operator image is not in the Z-lattice")
+            if q:
+                block[a, c] = q
+                rem -= q * basis[a]
+        if any(rem):
+            raise ZFormError("operator image pairs outside the slice lattice span")
     return block
-
-
-def _express_in_basis(sl: WeightSlice, num, den: int):
-    """Coordinates of the vector with pairing profile num/den in sl's basis.
-
-    num is an integer vector (length n); the slice basis rows are the
-    pairing vectors basis_psi.  Raises ZFormError if the result is not
-    integral.
-    """
-    r = sl.rank
-    coords = [0] * r
-    rem = np.empty(len(num), dtype=object)
-    rem[:] = [int(v) for v in num]
-    for a in range(r):
-        p = sl.pivots[a]
-        if rem[p] == 0:
-            continue
-        q, residue = divmod(int(rem[p]), int(sl.basis_psi[a, p]) * den)
-        if residue:
-            raise ZFormError("operator image is not in the Z-lattice")
-        coords[a] = q
-        rem -= (q * den) * sl.basis_psi[a]
-    if any(rem):
-        raise ZFormError("operator image pairs outside the slice lattice span")
-    return coords
 
 
 def module_to_json(module: TruncatedModule) -> dict:

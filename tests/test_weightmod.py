@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from kmgroups.weightmod import (
     build_module,
     module_to_json,
 )
+
+ORACLES = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
 
 
 def test_dominant_weight_validation():
@@ -259,29 +264,52 @@ def test_rank4_first_weight_spaces():
     ids=["rank4-d4", "e10-d2"],
 )
 def test_slice_monomials_are_the_sorted_words_of_its_content(gcm, lam, depth):
-    # the pairing columns of each first letter are laid out in this order
+    # the build no longer reads these lists; they are kept because
+    # perfbench/tracing.py counts them
     m = build_module(gcm, DominantWeight(lam), depth)
     for k, sl in m.slices.items():
         word = [i for i, c in enumerate(k) for _ in range(c)]
         assert sl.monomials == sorted(set(itertools.permutations(word))), k
 
 
+def _column_words(m):
+    # column c of slice k's basis_psi pairs with f_w v_lambda for the word
+    # w = words[k][c]: the first letter j, then a pivot word of k - alpha_j
+    words = {}
+    for k in sorted(m.slices, key=lambda k: (sum(k), k)):
+        if not any(k):
+            words[k] = [()]
+            continue
+        words[k] = [
+            (j,) + words[t][p]
+            for j, kj in enumerate(k)
+            if kj and (sl := m.slices[t := _shift(k, j, -1)]).rank
+            for p in sl.pivots
+        ]
+    return words
+
+
 @pytest.mark.parametrize(
     "gcm,lam,depth",
     [
         (path_gcm(2), (1, 1), 4),
+        (path_gcm(3), (1, 1, 1), 5),
         (triangle_with_pendant_gcm(), (1, 1, 1, 1), 4),
+        (triangle_with_pendant_gcm(), (1, 1, 1, 1), 6),
         (e_gcm(10), (1,) * 10, 3),
+        (e_gcm(10), (1,) + (0,) * 9, 4),
     ],
-    ids=["a2-d4", "rank4-d4", "e10-d3"],
+    ids=["a2-d4", "a3-d5", "rank4-d4", "rank4-d6", "e10-d3", "e10-omega1-d4"],
 )
 def test_basis_psi_rows_are_pairing_vectors(gcm, lam, depth):
     # <b, f_w1 ... f_wn v> = <e_wn ... e_w1 b, v>: applying the e-blocks of
     # w1, ..., wn to basis vector b gives its pairing with f_w v at v_lambda
     m = build_module(gcm, DominantWeight(lam), depth)
+    words = _column_words(m)
     for k in m.weight_keys():
         sl = m.slices[k]
-        for col, word in enumerate(sl.monomials):
+        assert sl.basis_psi.shape == (sl.rank, len(words[k])), k
+        for col, word in enumerate(words[k]):
             image, cur = np.eye(sl.rank, dtype=object), k
             for j in word:
                 image = m.operator_block("e", j, 1, cur) @ image
@@ -309,3 +337,38 @@ def test_wrong_e_image_is_caught(monkeypatch, gcm, lam):
     monkeypatch.setattr(weightmod, "_e_image", wrong)
     with pytest.raises(ZFormError):
         build_module(gcm, DominantWeight(lam), 4)
+
+
+@pytest.fixture(scope="module")
+def oracles():
+    # perfbench's oracles share no code with the package; load the file
+    # without writing bytecode next to it
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+@pytest.mark.parametrize(
+    "gcm,lam,depth",
+    [
+        (path_gcm(2), (1, 1), 4),
+        (triangle_with_pendant_gcm(), (1, 1, 1, 1), 5),
+        (e_gcm(10), (1,) * 10, 3),
+        (e_gcm(10), (1,) + (0,) * 9, 4),
+    ],
+    ids=["a2-d4", "rank4-d5", "e10-d3", "e10-omega1-d4"],
+)
+def test_slice_ranks_are_weyl_kac_multiplicities(oracles, gcm, lam, depth):
+    # the lattice checks cannot see an error that shifts every coroot
+    # pairing alike (a consistent build of another V^lambda'); the
+    # Weyl-Kac character formula can
+    m = build_module(gcm, DominantWeight(lam), depth)
+    ranks = {k: sl.rank for k, sl in m.slices.items()}
+    assert ranks == oracles.weight_multiplicities(
+        [list(row) for row in gcm.entries], list(lam), depth
+    )
