@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run the full verification suite for the rank-4 hyperbolic diagram
-(triangle with a pendant vertex), lambda = (1,1,1,1), at depths 4-6.
+(triangle with a pendant vertex), lambda = (1,1,1,1), at depths 4-7.
 
-Writes one verification report JSON per depth (rank4_depth{4,5,6}.json)
+Writes one verification report JSON per depth (rank4_depth{4,5,6,7}.json)
 and prints one status line per depth; exits 3 if any relation fails.
 
 Usage: python3 scripts/run_rank4_suite.py [output_dir]
@@ -24,7 +24,7 @@ def main() -> int:
     gcm = triangle_with_pendant_gcm()
     lam = DominantWeight((1, 1, 1, 1))
     ok = True
-    for depth in (4, 5, 6):
+    for depth in (4, 5, 6, 7):
         t0 = time.time()
         module = build_module(gcm, lam, depth)
         report = verify_all(module)

@@ -51,8 +51,11 @@ from .weightmod import TruncatedModule, _shift
 
 # int64 data while every entry and partial sum stays below this
 INT64_LIMIT = 2**62
-# partial products expanded at once by a product (a bound on scratch memory)
-PIECE = 1 << 14
+# partial products expanded at once by a product (a bound on scratch memory);
+# 8,192 keeps each int64 or object scratch array at 64 KiB, below glibc
+# malloc's default 128 KiB mmap threshold, so the arrays reuse heap memory
+# instead of being mapped and unmapped, page-faulting, on every piece
+PIECE = 1 << 13
 
 
 class NonUnitScalar(ValueError):

@@ -1,8 +1,9 @@
 """Exact integer linear algebra helpers.
 
-Everything here works over Python ints; no floating point anywhere.
-Matrices are numpy arrays with dtype=object (so entries are
-arbitrary-precision ints) or plain nested lists for the small routines.
+Everything here works over Python ints; no floating point anywhere, and
+no dependency beyond numpy.  Matrices are numpy arrays with dtype=object
+(so entries are arbitrary-precision ints) or plain nested lists for the
+determinant and the Hermite normal form.
 """
 
 from __future__ import annotations
@@ -74,31 +75,43 @@ def hnf_rows(mat) -> list[list[int]]:
     Returns a basis in echelon form: pivots positive, strictly increasing
     pivot columns, entries above each pivot reduced into [0, pivot).
 
-    The elimination is delegated to sympy's HNF, since plain gcd
-    elimination suffers catastrophic coefficient swell on wide slices.
-    sympy already reduces the entries beside each pivot with floor
-    division, so its rows, sorted by pivot, need no further reduction.
+    Columns are settled left to right.  At column c the unsettled rows
+    nonzero there are reduced by the one of smallest |entry| at c, with
+    floor division, until a single one is left: each pass lowers the
+    smallest |entry|, so the loop ends, and the small pivots keep the
+    entries from swelling as Bezout steps do.  Unsettled rows vanish
+    before c, so only columns >= c change.  The survivor, made positive,
+    reduces the settled rows' entries at c into [0, pivot) and is settled.
     """
-    from sympy.polys.domains import ZZ
-    from sympy.polys.matrices import DomainMatrix
-    from sympy.polys.matrices.normalforms import hermite_normal_form as _dm_hnf
-
-    rows = [[int(v) for v in row] for row in mat if any(row)]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    # sympy's convention anchors pivots at the bottom-right; reverse the
-    # columns so that its rightmost-first pivot scan prefers column 0, 1, ...
-    # The entries are Python ints already: ZZ.dtype converts them without
-    # the domain dispatch of ZZ(v), which costs ~5x as much per entry.
-    data = [[ZZ.dtype(v) for v in reversed(row)] for row in rows]
-    A = DomainMatrix(data, (len(rows), ncols), ZZ)
-    H = _dm_hnf(A.transpose()).transpose()
-    return sorted(
-        ([int(v) for v in reversed(hrow)] for hrow in H.to_list() if any(hrow)),
-        key=_pivot,
-    )
-
-
-def _pivot(row) -> int:
-    return next(j for j, v in enumerate(row) if v)
+    rest = [[int(v) for v in row] for row in mat if any(row)]
+    basis: list[list[int]] = []
+    for c in range(len(rest[0]) if rest else 0):
+        live = [row for row in rest if row[c]]
+        if not live:
+            continue
+        rest = [row for row in rest if not row[c]]
+        while len(live) > 1:
+            live.sort(key=lambda row: abs(row[c]))
+            piv = live[0]
+            a, tail = piv[c], piv[c:]
+            kept = [piv]
+            for row in live[1:]:
+                q = row[c] // a
+                row[c:] = [x - q * y for x, y in zip(row[c:], tail)]
+                if row[c]:
+                    kept.append(row)
+                elif any(row):
+                    rest.append(row)
+            live = kept
+        piv = live[0]
+        if piv[c] < 0:
+            piv[c:] = [-x for x in piv[c:]]
+        b, tail = piv[c], piv[c:]
+        for row in basis:
+            q = row[c] // b
+            if q:
+                row[c:] = [x - q * y for x, y in zip(row[c:], tail)]
+        basis.append(piv)
+        if not rest:
+            break
+    return basis

@@ -279,17 +279,19 @@ def test_commutator_signs_window_empty_reports_error(capsys, a2_file):
 
 
 def test_pipeline_does_not_import_scipy(a2_file):
-    # scipy.sparse alone adds about 20 MB of resident memory; the verifier
-    # needs numpy only.  A fresh interpreter sees every import of the run.
+    # scipy.sparse alone adds about 20 MB of resident memory, and sympy's
+    # import about 33 MB and 0.4 s; the pipeline needs numpy only.  A fresh
+    # interpreter sees every import of the run.
     src = Path(cli.__file__).resolve().parents[1]
     script = (
         "import contextlib, io, json, sys\n"
         "from kmgroups import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli.main(['verify', '--gcm', {a2_file!r},"
-        " '--lambda', '1,1', '--depth', '4'])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules"
-        " if m.split('.')[0] == 'scipy')]))\n"
+        "    codes = [cli.main([cmd, '--gcm', "
+        f"{a2_file!r}, '--lambda', '1,1', '--depth', '4'])\n"
+        "             for cmd in ('verify', 'module')]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'sympy'))]))\n"
     )
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
@@ -299,7 +301,7 @@ def test_pipeline_does_not_import_scipy(a2_file):
         env=dict(os.environ, PYTHONPATH=path),
         check=True,
     )
-    assert json.loads(done.stdout) == [EXIT_OK, []]
+    assert json.loads(done.stdout) == [[EXIT_OK, EXIT_OK], []]
 
 
 def test_word_command(capsys, a2_file):

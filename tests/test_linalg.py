@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import hermite_normal_form
 
 from kmgroups.linalg import (
     bareiss_det,
@@ -48,6 +51,22 @@ def test_leading_principal_minors():
     assert leading_principal_minors(mat) == [2, 3, 4]
     assert is_positive_definite_symmetric(mat)
     assert not is_positive_definite_symmetric([[2, -2], [-2, 2]])
+
+
+def hnf_rows_sympy(mat) -> list[list[int]]:
+    """sympy's HNF (Cohen, Alg. 2.4.5) in row form: the reference for hnf_rows."""
+    rows = [[int(v) for v in row] for row in mat if any(row)]
+    if not rows:
+        return []
+    # sympy anchors pivots at the bottom-right; reversing the columns makes
+    # its rightmost-first pivot scan prefer column 0, 1, ...
+    data = [[ZZ(v) for v in reversed(row)] for row in rows]
+    A = DomainMatrix(data, (len(rows), len(rows[0])), ZZ)
+    H = hermite_normal_form(A.transpose()).transpose()
+    return sorted(
+        ([int(v) for v in reversed(hrow)] for hrow in H.to_list() if any(hrow)),
+        key=lambda row: next(j for j, v in enumerate(row) if v),
+    )
 
 
 def hnf_rows_gcd(mat) -> list[list[int]]:
@@ -153,7 +172,8 @@ def test_hnf_properties(mat):
     # every input row is in the lattice of the basis
     for row in mat:
         assert _in_lattice(row, basis)
-    # the HNF of a lattice is unique, so it matches the reference exactly
+    # the HNF of a lattice is unique, so it matches both references exactly
+    assert basis == hnf_rows_sympy(mat)
     assert basis == hnf_rows_gcd(mat)
 
 

@@ -185,9 +185,10 @@ def test_ef_commutator_on_interior_slices(a2_adjoint):
     "gcm,lam,depth",
     [
         (triangle_with_pendant_gcm(), (1, 1, 1, 1), 4),
+        (triangle_with_pendant_gcm(), (1, 1, 1, 1), 7),
         (e_gcm(10), (1,) * 10, 3),
     ],
-    ids=["rank4-d4", "e10-d3"],
+    ids=["rank4-d4", "rank4-d7", "e10-d3"],
 )
 def test_ef_commutator_on_hyperbolic_slices(gcm, lam, depth):
     _check_ef_commutators(build_module(gcm, DominantWeight(lam), depth))
@@ -358,10 +359,11 @@ def oracles():
     [
         (path_gcm(2), (1, 1), 4),
         (triangle_with_pendant_gcm(), (1, 1, 1, 1), 5),
+        (triangle_with_pendant_gcm(), (1, 1, 1, 1), 7),
         (e_gcm(10), (1,) * 10, 3),
         (e_gcm(10), (1,) + (0,) * 9, 4),
     ],
-    ids=["a2-d4", "rank4-d5", "e10-d3", "e10-omega1-d4"],
+    ids=["a2-d4", "rank4-d5", "rank4-d7", "e10-d3", "e10-omega1-d4"],
 )
 def test_slice_ranks_are_weyl_kac_multiplicities(oracles, gcm, lam, depth):
     # the lattice checks cannot see an error that shifts every coroot
