@@ -46,7 +46,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import zeros_obj
 from .weightmod import TruncatedModule, _shift
 
 # int64 data while every entry and partial sum stays below this
@@ -110,7 +109,6 @@ class GeneratorContext:
         # depth vector and depth of each basis vector
         self.K = np.array(row_key, dtype=np.int64)
         self.depth_of = self.K.sum(1)
-        self.all_keys = list(module.slices)  # the keys of the .exact view
         self.cols = np.arange(n, dtype=np.int64)
         self.cache: dict = {}
 
@@ -192,7 +190,7 @@ class WindowedMatrix:
             if not len(sel):
                 continue  # the zero matrix
             t, s = ctx.keys[tgt[sel[0]]], ctx.keys[src[sel[0]]]
-            blk = zeros_obj(ctx.rank[t], ctx.rank[s])
+            blk = np.zeros((ctx.rank[t], ctx.rank[s]), dtype=object)
             blk[self.indices[sel] - ctx.offset[t], cols[sel] - ctx.offset[s]] = (
                 self.data[sel].astype(object)
             )
@@ -205,8 +203,7 @@ class WindowedMatrix:
         ctx = self.ctx
         return {
             k: self.flags[ctx.offset[k]:ctx.offset[k] + ctx.rank[k]].tolist()
-            if k in ctx.offset else []
-            for k in ctx.all_keys
+            for k in ctx.keys
         }
 
     def column(self, src, c) -> dict:

@@ -1,36 +1,10 @@
 """Exact integer linear algebra helpers.
 
-Everything here works over Python ints; no floating point anywhere, and
-no dependency beyond numpy.  Matrices are numpy arrays with dtype=object
-(so entries are arbitrary-precision ints) or plain nested lists for the
-determinant and the Hermite normal form.
+Everything here works over Python ints; no floating point anywhere.
+Matrices are given as sequences of integer rows.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-
-def obj_array(rows) -> np.ndarray:
-    """Nested list -> 2-d numpy object array (exact int entries)."""
-    arr = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            arr[i, j] = v
-    return arr
-
-
-def zeros_obj(nrows: int, ncols: int) -> np.ndarray:
-    arr = np.empty((nrows, ncols), dtype=object)
-    arr.fill(0)
-    return arr
-
-
-def eye_obj(n: int) -> np.ndarray:
-    arr = zeros_obj(n, n)
-    for i in range(n):
-        arr[i, i] = 1
-    return arr
 
 
 def bareiss_det(mat) -> int:

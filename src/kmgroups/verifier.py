@@ -352,15 +352,12 @@ class VerificationReport:
         return out
 
 
-def verify_all(
-    module: TruncatedModule, min_window: int = 0, with_kernel: bool = True
-) -> VerificationReport:
+def verify_all(module: TruncatedModule, min_window: int = 0) -> VerificationReport:
     """Verify every instance of R1-R12 on the module, in order."""
     results = [
         verify_relation(module, rid, nodes, min_window)
         for rid, nodes in relation_instances(module.gcm)
     ]
     report = VerificationReport(module.gcm, module.lam, module.depth, results)
-    if with_kernel:
-        report.kernel = kernel_probe(module)
+    report.kernel = kernel_probe(module)
     return report

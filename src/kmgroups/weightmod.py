@@ -1,14 +1,19 @@
 """Depth-truncated Z-forms of integrable highest-weight modules.
 
-Construction per weight space (depth vector k, weight mu = lambda - sum k_i
-alpha_i), slice by slice in order of depth:
+The module is the direct sum of its nonzero weight lattices, one slice
+per depth vector k (weight mu = lambda - sum k_i alpha_i), and only those
+slices are stored.  They are built layer by layer: the slices of depth
+d + 1 are among the k + alpha_j over the slices k of depth d.  That finds
+them all: if no k - alpha_j of some k != 0 has a slice, every x of weight
+mu has e_j x = 0 for every j, which puts x in the radical.  Construction
+per slice:
 
   1. the Z-lattice of the slice is spanned by f_i^(m) b over all i, m >= 1
      and basis vectors b of the shallower slice s = k - m alpha_i, since
      V_Z = U_Z^- v_lambda and U_Z^- is spanned by divided-power monomials;
   2. a vector x of the slice is recorded by its pairings <x, f_w v_lambda>
-     at the pivot words w = j w' of content k: t = k - alpha_j is
-     non-trivial and w' is the word of a pivot column of t's basis.  As
+     at the pivot words w = j w' of content k: t = k - alpha_j has a
+     slice and w' is the word of a pivot column of t's basis.  As
      <x, f_j f_w' v_lambda> = <e_j x, f_w' v_lambda>, these columns are
      c_j T_t, c_j the coordinates of e_j x and T_t = psi_t at its pivots
      (r_t x r_t, upper triangular).  No Verma module is built;
@@ -34,13 +39,12 @@ entries.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cartan import GeneralizedCartanMatrix, NotSimplyLaced
-from .linalg import eye_obj, hnf_rows, obj_array, zeros_obj
+from .linalg import hnf_rows
 
 
 class NonDominantWeight(ValueError):
@@ -74,18 +78,27 @@ class DominantWeight:
 @dataclass
 class WeightSlice:
     depth_vector: tuple[int, ...]
-    monomials: list[tuple[int, ...]]
     rank: int
     basis_psi: np.ndarray  # r x sum r_t ints: pairings of basis vector a
     pivots: list[int]  # pivot column of each basis_psi row (an index into it)
 
     @property
-    def depth(self) -> int:
-        return sum(self.depth_vector)
+    def monomials(self) -> list[tuple[int, ...]]:
+        """The words of content depth_vector in lex order, made on each read;
+        the build does not use them."""
+        return _words(self.depth_vector)
+
+
+def _words(k) -> list[tuple[int, ...]]:
+    if not any(k):
+        return [()]
+    return [(j,) + w for j, kj in enumerate(k) if kj for w in _words(_shift(k, j, -1))]
 
 
 class TruncatedModule:
-    """All weight slices of V^lambda with depth <= depth, over Z."""
+    """The nonzero weight slices of V^lambda with depth <= depth, over Z,
+    in (depth, lex) order; a depth vector in range with no slice has weight
+    space 0."""
 
     def __init__(self, gcm: GeneralizedCartanMatrix, lam: DominantWeight, depth: int):
         self.gcm = gcm
@@ -94,17 +107,19 @@ class TruncatedModule:
         self.slices: dict[tuple[int, ...], WeightSlice] = {}
         # (sign, i, m) -> {source depth_vector: (r_tgt x r_src) int matrix}
         self.ops: dict[tuple[str, int, int], dict[tuple[int, ...], np.ndarray]] = {}
-        self._weight_keys: list[tuple[int, ...]] = []  # set by build_module
 
     # -- weights ----------------------------------------------------------
 
     def weight_keys(self) -> list[tuple[int, ...]]:
-        """All depth vectors with a non-trivial weight space, sorted.
+        """All depth vectors with a non-trivial weight space, sorted."""
+        return list(self.slices)
 
-        The list is sorted once, when build_module has filled the slices,
-        and shared by every caller: do not modify it.
-        """
-        return self._weight_keys
+    def _in_range(self, depth_vector) -> tuple[int, ...]:
+        """depth_vector as a tuple; SliceOutOfRange outside the truncation."""
+        k = tuple(depth_vector)
+        if any(c < 0 for c in k) or sum(k) > self.depth:
+            raise SliceOutOfRange(f"{k} outside truncation depth {self.depth}")
+        return k
 
     def rank_at(self, depth_vector) -> int:
         k = tuple(depth_vector)
@@ -116,9 +131,7 @@ class TruncatedModule:
 
     def coroot_pairing(self, depth_vector, i: int) -> int:
         """<mu, alpha_i^vee> for mu = lambda - sum_j k_j alpha_j."""
-        k = tuple(depth_vector)
-        if sum(k) > self.depth or any(c < 0 for c in k):
-            raise SliceOutOfRange(f"{k} outside truncation depth {self.depth}")
+        k = self._in_range(depth_vector)
         return self.lam.coords[i] - sum(
             kj * self.gcm.a(i, j) for j, kj in enumerate(k)
         )
@@ -129,37 +142,21 @@ class TruncatedModule:
             raise ValueError("sign must be 'e' or 'f'")
         if m < 0:
             raise ValueError("power must be >= 0")
-        k = tuple(source)
-        if k not in self.slices:
-            raise SliceOutOfRange(f"no slice at {k}")
-        r_src = self.slices[k].rank
+        k = self._in_range(source)
+        r_src = self.rank_at(k)
         if m == 0:
-            return eye_obj(r_src)
-        tgt = _shift(k, i, m if sign == "f" else -m)
-        if any(c < 0 for c in tgt) or sum(tgt) > self.depth:
-            raise SliceOutOfRange(f"target slice {tgt} outside truncation")
-        blocks = self.ops.get((sign, i, m), {})
-        if k in blocks:
-            return blocks[k]
-        return zeros_obj(self.rank_at(tgt), r_src)
+            return np.identity(r_src, dtype=object)
+        tgt = self._in_range(_shift(k, i, m if sign == "f" else -m))
+        block = self.ops.get((sign, i, m), {}).get(k)
+        if block is None:
+            return np.zeros((self.rank_at(tgt), r_src), dtype=object)
+        return block
 
 
 def _shift(k, i, delta):
     out = list(k)
     out[i] += delta
     return tuple(out)
-
-
-def _depth_vectors(rank: int, max_depth: int):
-    for total in range(max_depth + 1):
-        for cuts in itertools.combinations(range(total + rank - 1), rank - 1):
-            prev = -1
-            k = []
-            for c in cuts:
-                k.append(c - prev - 1)
-                prev = c
-            k.append(total + rank - 2 - prev)
-            yield tuple(k)
 
 
 def build_module(
@@ -179,43 +176,41 @@ def build_module(
         raise ValueError("depth must be >= 0")
     mod = TruncatedModule(gcm, lam, depth)
     total = 0
-
-    for k in _depth_vectors(gcm.rank, depth):
-        sl = mod.slices[k] = _build_slice(mod, k)
-        total += sl.rank
-        if max_basis is not None and total > max_basis:
-            raise DepthOverflow(
-                f"basis size {total} exceeds cap {max_basis} at depth {sum(k)}"
-            )
-
-    mod._weight_keys = sorted(
-        (k for k, s in mod.slices.items() if s.rank > 0),
-        key=lambda k: (sum(k), k),
-    )
+    layer = [(0,) * gcm.rank]
+    for _ in range(depth + 1):
+        for k in layer:
+            sl = _build_slice(mod, k)
+            if sl is None:
+                continue
+            mod.slices[k] = sl
+            total += sl.rank
+            if max_basis is not None and total > max_basis:
+                raise DepthOverflow(
+                    f"basis size {total} exceeds cap {max_basis} at depth {sum(k)}"
+                )
+        layer = sorted(
+            {_shift(k, j, 1) for k in layer if k in mod.slices for j in range(gcm.rank)}
+        )
     return mod
 
 
-def _build_slice(mod: TruncatedModule, k) -> WeightSlice:
-    """The slice k from the generators f_i^(m) b, with its f- and e-blocks."""
+def _build_slice(mod: TruncatedModule, k) -> WeightSlice | None:
+    """The slice k from the generators f_i^(m) b, with its f- and e-blocks;
+    None if the weight space is 0.  Some k - alpha_j must have a slice."""
     if not any(k):
-        return WeightSlice(k, [()], 1, obj_array([[1]]), [0])
-    # words of content k in lex order: first letter j, then a word of k - alpha_j
-    mons = [(j,) + w for j, kj in enumerate(k) if kj
-            for w in mod.slices[_shift(k, j, -1)].monomials]
-    # the non-trivial slices t = k - alpha_j, each with its pivot block
+        return WeightSlice(k, 1, np.array([[1]], dtype=object), [0])
+    # the slices t = k - alpha_j, each with its pivot block
     # T_t = psi_t at its pivots (r_t x r_t, upper triangular)
     up = [
         (j, t, t.basis_psi[:, t.pivots])
         for j, kj in enumerate(k)
-        if kj and (t := mod.slices[_shift(k, j, -1)]).rank
+        if kj and (t := mod.slices.get(_shift(k, j, -1)))
     ]
-    if not up:  # e_j x = 0 for every j puts x in the radical
-        return WeightSlice(k, mons, 0, zeros_obj(0, 0), [])
     gens = [  # (i, m, source slice)
         (i, m, src)
         for i, kj in enumerate(k)
         for m in range(1, kj + 1)
-        if (src := mod.slices[_shift(k, i, -m)]).rank
+        if (src := mod.slices.get(_shift(k, i, -m)))
     ]
     # row a of gen_rows[g] pairs f_i^(m) b_a with the pivot words j w of every
     # t: the coordinates of e_j f_i^(m) b_a in t's basis, times T_t
@@ -225,21 +220,19 @@ def _build_slice(mod: TruncatedModule, k) -> WeightSlice:
     ]
     # a generator in the radical adds nothing
     hnf_in = [row for rows in gen_rows for row in rows if any(row)]
-    basis = hnf_rows(hnf_in) if hnf_in else []
-    r = len(basis)
+    basis = hnf_rows(hnf_in)
+    if not basis:  # every generator pairs to 0: the weight space is 0
+        return None
     sl = WeightSlice(
         depth_vector=k,
-        monomials=mons,
-        rank=r,
-        basis_psi=obj_array(basis) if r else zeros_obj(0, sum(len(T) for *_, T in up)),
+        rank=len(basis),
+        basis_psi=np.array(basis, dtype=object),
         pivots=[next(j for j, v in enumerate(row) if v) for row in basis],
     )
     for (i, m, src), rows in zip(gens, gen_rows):
         mod.ops.setdefault(("f", i, m), {})[src.depth_vector] = _in_basis(
             sl.basis_psi, sl.pivots, rows
         )
-    if not r:
-        return sl
     # block i of psi_k is (e_i out of k) T_t for t = k - alpha_i; then
     # e_i^(m) = e_i e_i^(m-1) / m while the string stays in the module
     col = 0
@@ -276,7 +269,7 @@ def _e_image(mod: TruncatedModule, j: int, i: int, m: int, s) -> np.ndarray:
 def _in_basis(basis, pivots, rows) -> np.ndarray:
     """Coordinates, one column per row of rows, in the echelon basis whose
     row a starts at column pivots[a]; ZFormError unless they are integers."""
-    block = zeros_obj(len(pivots), len(rows))
+    block = np.zeros((len(pivots), len(rows)), dtype=object)
     for c, row in enumerate(rows):
         rem = np.array([int(v) for v in row], dtype=object)
         for a, p in enumerate(pivots):

@@ -32,9 +32,7 @@ def rank4_modules():
 
 @pytest.fixture(scope="module")
 def rank4_reports(rank4_modules):
-    return {
-        d: verify_all(m, with_kernel=False) for d, m in rank4_modules.items()
-    }
+    return {d: verify_all(m) for d, m in rank4_modules.items()}
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +58,7 @@ def test_01_relation_suite_rank4_depth6(rank4_reports):
 
 
 def test_02_relation_suite_e10_depth4(e10_module):
-    report = verify_all(e10_module, with_kernel=False)
+    report = verify_all(e10_module)
     assert report.all_verified
     assert not report.any_window_empty
 
@@ -189,7 +187,7 @@ def test_06_kernel_probe_against_oracle():
 
 def test_07_finite_type_sanity_a2(a2_module):
     assert a2_module.total_rank() == 8
-    report = verify_all(a2_module, with_kernel=False)
+    report = verify_all(a2_module)
     assert report.all_verified
 
 

@@ -4,7 +4,8 @@ Every file under tests/golden/ is the exact stdout of `kmgroups <command>`
 for the case named in GOLDEN.  The rank-4 depth-5 outputs (`module`,
 187 kB, and `verify`, 11 kB) and the E10 lambda=1^10 depth-3 `module`
 (345 kB) are stored as the SHA-256 of those bytes.  The E10 depth-4
-`module` is at lambda=omega_1, where 995 of the 1001 slices are empty.
+`module` is at lambda=omega_1, where 995 of the 1001 depth vectors have
+weight space 0.
 The `word` cases in WORD_GOLDEN carry a scalar of 10^12, so their images
 reach 10^24 and pin the exact arbitrary-precision arithmetic.
 A refactor or speed-up of any layer must leave all of them identical: the

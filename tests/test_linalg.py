@@ -11,12 +11,9 @@ from sympy.polys.matrices.normalforms import hermite_normal_form
 
 from kmgroups.linalg import (
     bareiss_det,
-    eye_obj,
     hnf_rows,
     is_positive_definite_symmetric,
     leading_principal_minors,
-    obj_array,
-    zeros_obj,
 )
 
 rng = random.Random(20240817)
@@ -24,14 +21,6 @@ rng = random.Random(20240817)
 
 def random_int_matrix(n, m, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
-
-
-def test_obj_array_roundtrip():
-    a = obj_array([[1, 2], [3, 4]])
-    assert a.dtype == object
-    assert a[1, 0] == 3
-    assert zeros_obj(2, 3).shape == (2, 3)
-    assert all(eye_obj(3)[i, i] == 1 for i in range(3))
 
 
 def test_bareiss_det_against_sympy():

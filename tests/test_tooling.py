@@ -60,6 +60,7 @@ def test_build_hook_reads_the_module(tracing):
     tracer._on_build((), module)
     metrics = tracer.metrics()
     assert metrics["weightmod.slices"] == len(module.slices)
+    assert metrics["weightmod.nonzero_slice_ratio"] == 1.0
     assert metrics["weightmod.basis_vectors"] == module.total_rank() == 8
     assert metrics["weightmod.monomials"] == sum(
         len(s.monomials) for s in module.slices.values()

@@ -265,7 +265,7 @@ def test_rank4_first_weight_spaces():
     ids=["rank4-d4", "e10-d2"],
 )
 def test_slice_monomials_are_the_sorted_words_of_its_content(gcm, lam, depth):
-    # the build no longer reads these lists; they are kept because
+    # the build does not use these lists; they are made on read because
     # perfbench/tracing.py counts them
     m = build_module(gcm, DominantWeight(lam), depth)
     for k, sl in m.slices.items():
@@ -277,14 +277,14 @@ def _column_words(m):
     # column c of slice k's basis_psi pairs with f_w v_lambda for the word
     # w = words[k][c]: the first letter j, then a pivot word of k - alpha_j
     words = {}
-    for k in sorted(m.slices, key=lambda k: (sum(k), k)):
+    for k in m.slices:
         if not any(k):
             words[k] = [()]
             continue
         words[k] = [
             (j,) + words[t][p]
             for j, kj in enumerate(k)
-            if kj and (sl := m.slices[t := _shift(k, j, -1)]).rank
+            if kj and (sl := m.slices.get(t := _shift(k, j, -1)))
             for p in sl.pivots
         ]
     return words
@@ -370,7 +370,32 @@ def test_slice_ranks_are_weyl_kac_multiplicities(oracles, gcm, lam, depth):
     # pairing alike (a consistent build of another V^lambda'); the
     # Weyl-Kac character formula can
     m = build_module(gcm, DominantWeight(lam), depth)
-    ranks = {k: sl.rank for k, sl in m.slices.items()}
-    assert ranks == oracles.weight_multiplicities(
+    mult = oracles.weight_multiplicities(
         [list(row) for row in gcm.entries], list(lam), depth
     )
+    assert {k: m.rank_at(k) for k in mult} == mult
+
+
+@pytest.mark.parametrize(
+    "gcm,lam,depth,empty",
+    [
+        (path_gcm(2), (1, 1), 4, (2, 0)),
+        (triangle_with_pendant_gcm(), (1, 1, 1, 1), 6, (2, 0, 0, 0)),
+        (e_gcm(10), (1,) + (0,) * 9, 4, (0, 1, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ],
+    ids=["a2-d4", "rank4-d6", "e10-omega1-d4"],
+)
+def test_slices_are_the_nonzero_weight_spaces(gcm, lam, depth, empty):
+    m = build_module(gcm, DominantWeight(lam), depth)
+    assert all(sl.rank > 0 for sl in m.slices.values())
+    keys = list(m.slices)
+    assert keys == sorted(keys, key=lambda k: (sum(k), k))
+    assert m.weight_keys() == keys
+    # an in-range depth vector with no slice is a 0-column source
+    assert empty not in m.slices and m.rank_at(empty) == 0
+    blk = m.operator_block("f", 0, 1, empty)
+    assert blk.shape == (m.rank_at(_shift(empty, 0, 1)), 0)
+    with pytest.raises(SliceOutOfRange):
+        m.operator_block("f", 0, 1, (depth,) + (0,) * (gcm.rank - 1))
+    with pytest.raises(SliceOutOfRange):
+        m.operator_block("e", 0, 1, (-1,) + (0,) * (gcm.rank - 1))
