@@ -4,7 +4,7 @@ Submodules:
   cartan    generalized Cartan matrices, classification, hyperbolicity
   roots     real-root enumeration, prenilpotent pairs, commutation intervals
   weightmod depth-truncated Z-forms of highest-weight modules
-  groupgen  group generators as windowed block matrices
+  groupgen  group generators as windowed sparse matrices
   verifier  relation verification and kernel probe
   cli       command-line interface
 """

@@ -36,10 +36,10 @@ from .groupgen import (
 )
 from .verifier import (
     OracleMismatch,
-    SignAmbiguous,
     SignNone,
     column_json,
     kernel_probe,
+    report_head,
     resolve_commutator_sign,
     verify_all,
 )
@@ -110,9 +110,7 @@ def _build(args):
     gcm = _load_gcm(args.gcm, require_simply_laced=True)
     lam = _parse_lambda(args.lam, gcm.rank)
     try:
-        return gcm, lam, build_module(
-            gcm, lam, args.depth, max_basis=args.max_basis
-        )
+        return build_module(gcm, lam, args.depth, max_basis=args.max_basis)
     except DepthOverflow as exc:
         raise _CliError(EXIT_INVALID, f"DepthOverflow: {exc}")
     except ValueError as exc:  # a negative depth
@@ -152,18 +150,12 @@ def cmd_roots(args) -> int:
 
 
 def cmd_module(args) -> int:
-    _, _, module = _build(args)
-    _emit(module_to_json(module), args.out)
+    _emit(module_to_json(_build(args)), args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    _, _, module = _build(args)
-    try:
-        report = verify_all(module, min_window=args.min_window)
-    except OracleMismatch as exc:
-        _emit({"error": f"OracleMismatch: {exc}"}, args.out)
-        return EXIT_ORACLE_MISMATCH
+    report = verify_all(_build(args), min_window=args.min_window)
     _emit(report.to_json(), args.out)
     if any(r.status == "failed" for r in report.results):
         return EXIT_RELATION_FAILED
@@ -173,56 +165,36 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    gcm, lam, module = _build(args)
-    try:
-        kernel = kernel_probe(module)
-    except OracleMismatch as exc:
-        _emit({"error": f"OracleMismatch: {exc}"}, args.out)
-        return EXIT_ORACLE_MISMATCH
-    payload = {
-        "diagram": gcm_to_json(gcm),
-        "lambda": list(lam.coords),
-        "depth": module.depth,
-        "kernel": kernel,
-    }
+    module = _build(args)
+    payload = report_head(module)
+    payload["kernel"] = kernel_probe(module)
     _emit(payload, args.out)
     return EXIT_OK
 
 
 def cmd_commutator_signs(args) -> int:
-    gcm, lam, module = _build(args)
-    signs = []
-    for i, j in sorted(
-        (i, j)
-        for i in range(gcm.rank)
-        for j in range(gcm.rank)
-        if i != j and gcm.adjacent(i, j)
-    ):
+    module = _build(args)
+    gcm, signs = module.gcm, []
+    for i, j in [(i, j) for i in range(gcm.rank) for j in gcm.neighbors(i)]:
         try:
             eps = resolve_commutator_sign(module, i, j)
         except WindowEmpty as exc:
             _emit({"error": f"WindowEmpty: {exc}"}, args.out)
             return EXIT_WINDOW_EMPTY
-        except SignAmbiguous:
-            eps = None  # both signs verify, as R11 reports it in `verify`
         except SignNone as exc:
             _emit({"error": f"SignNone: {exc}"}, args.out)
             return EXIT_RELATION_FAILED
         signs.append({"pair": [i + 1, j + 1], "sign": eps})
-    payload = {
-        "diagram": gcm_to_json(gcm),
-        "lambda": list(lam.coords),
-        "depth": module.depth,
-        "signs": signs,
-    }
+    payload = report_head(module)
+    payload["signs"] = signs
     _emit(payload, args.out)
     return EXIT_OK
 
 
 def cmd_word(args) -> int:
-    gcm, lam, module = _build(args)
+    module = _build(args)
     try:
-        symbols = parse_word(args.word, gcm.rank)
+        symbols = parse_word(args.word, module.gcm.rank)
     except (WordSyntaxError, NonUnitScalar) as exc:
         raise _CliError(EXIT_INVALID, f"{type(exc).__name__}: {exc}")
     mat = evaluate_word(module, symbols)
@@ -232,20 +204,14 @@ def cmd_word(args) -> int:
             "source": {"depth_vector": list(k), "index": c},
             "image": column_json(mat.column(k, c)),
         }
-        for k, c in mat.exact_columns()
+        for k, flags in mat.exact.items()
+        for c, ok in enumerate(flags)
+        if ok
     ]
-    payload = {
-        "diagram": gcm_to_json(gcm),
-        "lambda": list(lam.coords),
-        "depth": module.depth,
-        "word": args.word,
-        "window": window,
-        "columns": columns,
-    }
+    payload = report_head(module)
+    payload.update(word=args.word, window=window, columns=columns)
     _emit(payload, args.out)
-    if window < 0:
-        return EXIT_WINDOW_EMPTY
-    return EXIT_OK
+    return EXIT_WINDOW_EMPTY if window < 0 else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,7 +285,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except OracleMismatch as exc:  # raised by the kernel probe
+            _emit({"error": f"OracleMismatch: {exc}"}, args.out)
+            return EXIT_ORACLE_MISMATCH
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

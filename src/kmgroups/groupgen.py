@@ -93,21 +93,14 @@ class GeneratorContext:
         self._module = weakref.ref(module)
         self.depth = module.depth
         self.keys = module.weight_keys()
-        self.offset: dict = {}
-        self.rank: dict = {}
-        row_key: list = []
-        for k in self.keys:
-            self.offset[k] = len(row_key)
-            self.rank[k] = module.slices[k].rank
-            row_key += [k] * self.rank[k]
-        self.n = n = len(row_key)
-        self.row_key = row_key  # slice of each basis vector
-        self.row_pos = [j - self.offset[k] for j, k in enumerate(row_key)]
-        self.slice_of = np.repeat(
-            np.arange(len(self.keys)), [self.rank[k] for k in self.keys]
-        )
-        # depth vector and depth of each basis vector
-        self.K = np.array(row_key, dtype=np.int64)
+        ranks = [module.slices[k].rank for k in self.keys]
+        self.rank = dict(zip(self.keys, ranks))
+        starts = np.cumsum([0] + ranks).tolist()
+        self.offset = dict(zip(self.keys, starts))
+        self.n = n = starts[-1]
+        # slice (an index into keys), depth vector and depth of each basis vector
+        self.slice_of = np.repeat(np.arange(len(self.keys)), ranks)
+        self.K = np.array(self.keys, dtype=np.int64)[self.slice_of]
         self.depth_of = self.K.sum(1)
         self.cols = np.arange(n, dtype=np.int64)
         self.cache: dict = {}
@@ -207,19 +200,20 @@ class WindowedMatrix:
         }
 
     def column(self, src, c) -> dict:
-        """Nonzero entries of column c of source slice src, keyed by target:
-        {target: tuple over the target slice's basis}."""
-        return self._column_at(self.ctx.offset[tuple(src)] + c)
-
-    def _column_at(self, j: int) -> dict:
+        """Nonzero entries of column c of source slice src, keyed by target in
+        weight_keys() order: {target: tuple over the target slice's basis}."""
         ctx = self.ctx
+        j = ctx.offset[tuple(src)] + c
         lo, hi = self.indptr[j], self.indptr[j + 1]
+        rows = self.indices[lo:hi]
         out: dict = {}
-        for r, v in zip(self.indices[lo:hi].tolist(), self.data[lo:hi].tolist()):
-            k = ctx.row_key[r]
+        for s, r, v in zip(
+            ctx.slice_of[rows].tolist(), rows.tolist(), self.data[lo:hi].tolist()
+        ):
+            k = ctx.keys[s]
             if k not in out:
                 out[k] = [0] * ctx.rank[k]
-            out[k][ctx.row_pos[r]] = v
+            out[k][r - ctx.offset[k]] = v
         return {k: tuple(col) for k, col in out.items()}
 
     def __matmul__(self, other: "WindowedMatrix") -> "WindowedMatrix":
@@ -263,10 +257,6 @@ class WindowedMatrix:
         bad = self.ctx.depth_of[~self.flags]
         return min(self.ctx.depth, int(bad.min()) - 1) if len(bad) else self.ctx.depth
 
-    def exact_columns(self) -> list[tuple[tuple[int, ...], int]]:
-        ctx = self.ctx
-        return [(ctx.row_key[j], ctx.row_pos[j]) for j in np.flatnonzero(self.flags)]
-
     def equal_on_window(
         self, other: "WindowedMatrix", min_window: int = 0
     ) -> tuple[bool, int, int]:
@@ -296,13 +286,6 @@ class WindowedMatrix:
             ) and np.array_equal(self.data[sa], other.data[sb])
         return bool(equal), window, int(both.sum())
 
-    def paired_columns(self, other: "WindowedMatrix"):
-        """Yield (src, c, column of self, column of other) for every column
-        exact in both, in weight_keys() order."""
-        ctx = self.ctx
-        for j in np.flatnonzero(self.flags & other.flags):
-            yield ctx.row_key[j], ctx.row_pos[j], self._column_at(j), other._column_at(j)
-
 
 def _cached(module: TruncatedModule, kind: str, i: int, t: int, make) -> WindowedMatrix:
     """The cached generator (kind, i, t) of the module, or make(ctx) on a miss."""
@@ -315,7 +298,8 @@ def _cached(module: TruncatedModule, kind: str, i: int, t: int, make) -> Windowe
 
 def _chi(ctx: GeneratorContext, sign: str, i: int, t: int, flags) -> WindowedMatrix:
     """The identity plus t^m times every block of e_i^(m) (sign "e") or
-    f_i^(m) (sign "f"), 1 <= m <= depth, with the given column flags.
+    f_i^(m) (sign "f"), over the powers m the module holds, with the given
+    column flags.
 
     A (target, source) pair gets at most one block, since the target
     k -+ m alpha_i determines m.
@@ -323,8 +307,10 @@ def _chi(ctx: GeneratorContext, sign: str, i: int, t: int, flags) -> WindowedMat
     ident = ctx.identity
     rows, cols, vals = [ident.indices], [ctx.cols], [ident.data.astype(object)]
     step = -1 if sign == "e" else 1
-    for m in range(1, ctx.depth + 1):
-        for k, blk in ctx.module.ops.get((sign, i, m), {}).items():
+    for (op, node, m), blocks in ctx.module.ops.items():
+        if (op, node) != (sign, i):
+            continue
+        for k, blk in blocks.items():
             if blk.any():
                 r, c = np.nonzero(blk)
                 rows.append(r + ctx.offset[_shift(k, i, step * m)])
@@ -365,7 +351,9 @@ def chi_minus(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
         up = chi_plus(module, i, 1)
         r = ctx.depth_of - ctx.depth_of[up.indices[up.indptr[:-1]]]
         p = module.lam.coords[i] - ctx.K @ np.array(module.gcm.entries[i])
-        return _chi(ctx, "f", i, t, p + r <= ctx.depth - ctx.depth_of)
+        # int64 arithmetic: a deeper truncation flags what depth 2^62 does
+        room = min(ctx.depth, INT64_LIMIT) - ctx.depth_of
+        return _chi(ctx, "f", i, t, p + r <= room)
 
     return _cached(module, "X-", i, t, make)
 

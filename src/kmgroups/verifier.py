@@ -2,9 +2,11 @@
 
 The twelve relation families (numbered R1-R12) are instantiated over the
 nodes / node pairs of the diagram and checked as matrix identities in the
-truncated representation.  Comparison happens on the joint validity window
-of the two sides; R11 carries an unresolved structure-constant sign that is
-determined by trying both candidates.
+truncated representation: _compare checks two evaluated matrices on every
+mutually exact column within their joint validity window, and a failure's
+witness is the first column on which they differ.  R11 carries an unresolved
+structure-constant sign, found by comparing its commutator side, evaluated
+once, with both candidates; it is None when both verify.
 
 The kernel probe decides which elements h_S = prod_{i in S} h_i(-1) of the
 finite diagonal subgroup act trivially, by a GF(2) parity criterion
@@ -24,10 +26,6 @@ from .groupgen import (
     h_element,
 )
 from .weightmod import DominantWeight, TruncatedModule
-
-
-class SignAmbiguous(RuntimeError):
-    """Both structure-constant signs verify; module too degenerate."""
 
 
 class SignNone(RuntimeError):
@@ -138,26 +136,24 @@ class RelationResult:
         return out
 
 
-def _compare(module, lhs_word, rhs_word, min_window):
-    lhs = evaluate_word(module, lhs_word)
-    rhs = evaluate_word(module, rhs_word)
-    return _compare_matrices(lhs, rhs, min_window)
-
-
-def _compare_matrices(lhs, rhs, min_window):
-    """(equal, window, compared, witness) of lhs against rhs; the witness is
-    the first mutually exact column on which they differ."""
+def _compare(lhs, rhs, min_window):
+    """(equal, window, compared, witness) of the matrix lhs against rhs; the
+    witness is the first mutually exact column on which they differ, in
+    weight_keys() order."""
     equal, window, compared = lhs.equal_on_window(rhs, min_window=min_window)
     witness = None
     if not equal:
-        for k, c, left, right in lhs.paired_columns(rhs):
-            if left != right:
-                witness = {
-                    "column": {"depth_vector": list(k), "index": c},
-                    "lhs_image": column_json(left),
-                    "rhs_image": column_json(right),
-                }
-                break
+        k, c = next(
+            (k, c)
+            for k, flags in lhs.exact.items()
+            for c, ok in enumerate(flags)
+            if ok and rhs.exact[k][c] and lhs.column(k, c) != rhs.column(k, c)
+        )
+        witness = {
+            "column": {"depth_vector": list(k), "index": c},
+            "lhs_image": column_json(lhs.column(k, c)),
+            "rhs_image": column_json(rhs.column(k, c)),
+        }
     return equal, window, compared, witness
 
 
@@ -169,20 +165,17 @@ def column_json(col):
     ]
 
 
-def _r11_compare(module: TruncatedModule, i: int, j: int, min_window: int):
-    """Compare both sides of R11 on (i, j) for sign +1, then -1.
-
-    The commutator side does not depend on the sign and is evaluated once.
-    Returns ({sign: _compare_matrices outcome}, verified signs); raises
-    WindowEmpty if a joint window is below min_window.
-    """
-    lhs = evaluate_word(module, relation_words("R11", (i, j))[0])
+def _compare_signs(module: TruncatedModule, rid: str, nodes, min_window: int):
+    """({sign: _compare outcome}, the signs that verify) of a relation
+    instance, for the signs 1 and -1 of R11 and for 1 alone otherwise; the
+    left word does not depend on the sign and is evaluated once.  Raises
+    WindowEmpty if a joint window is below min_window."""
+    lhs = evaluate_word(module, relation_words(rid, nodes)[0])
     outcomes = {}
-    for sign in (1, -1):
-        rhs = evaluate_word(module, relation_words("R11", (i, j), sign)[1])
-        outcomes[sign] = _compare_matrices(lhs, rhs, min_window)
-    good = [sign for sign in (1, -1) if outcomes[sign][0]]
-    return outcomes, good
+    for sign in (1, -1) if rid == "R11" else (1,):
+        rhs = evaluate_word(module, relation_words(rid, nodes, sign)[1])
+        outcomes[sign] = _compare(lhs, rhs, min_window)
+    return outcomes, [sign for sign, out in outcomes.items() if out[0]]
 
 
 def verify_relation(
@@ -190,33 +183,25 @@ def verify_relation(
 ) -> RelationResult:
     nodes = tuple(nodes)
     try:
-        if rid == "R11":
-            outcomes, good = _r11_compare(module, *nodes, min_window)
-            # The verified sign's comparison, or the +1 one if none verifies.
-            equal, window, compared, witness = outcomes[good[0] if good else 1]
-            sign = good[0] if len(good) == 1 else None
-        else:
-            lhs, rhs = relation_words(rid, nodes)
-            equal, window, compared, witness = _compare(module, lhs, rhs, min_window)
-            sign = None
+        outcomes, good = _compare_signs(module, rid, nodes, min_window)
     except WindowEmpty:
         return RelationResult(rid, nodes, "window_empty")
+    # The verified sign's comparison, or the +1 one if none verifies.
+    equal, window, compared, witness = outcomes[good[0] if good else 1]
+    sign = good[0] if rid == "R11" and len(good) == 1 else None
     status = "verified" if equal else "failed"
-    return RelationResult(
-        rid, nodes, status, window, compared, sign=sign, witness=witness
-    )
+    return RelationResult(rid, nodes, status, window, compared, sign, witness)
 
 
-def resolve_commutator_sign(module: TruncatedModule, i: int, j: int) -> int:
-    """The unique sign in [X_i, X_j] = S_i X_j(sign) S_i^-1 for adjacent i, j."""
+def resolve_commutator_sign(module: TruncatedModule, i: int, j: int) -> int | None:
+    """The unique sign in [X_i, X_j] = S_i X_j(sign) S_i^-1 for adjacent i, j,
+    or None when both signs verify (the truncation cannot tell them apart)."""
     if not module.gcm.adjacent(i, j):
         raise ValueError(f"nodes {i}, {j} are not adjacent")
-    _, good = _r11_compare(module, i, j, min_window=0)
-    if len(good) == 2:
-        raise SignAmbiguous(f"both signs verify for pair ({i}, {j})")
+    _, good = _compare_signs(module, "R11", (i, j), min_window=0)
     if not good:
         raise SignNone(f"neither sign verifies for pair ({i}, {j})")
-    return good[0]
+    return good[0] if len(good) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +209,17 @@ def resolve_commutator_sign(module: TruncatedModule, i: int, j: int) -> int:
 
 
 def kernel_membership(gcm: GeneralizedCartanMatrix, lam, subset) -> bool:
-    """Does h_S = prod_{i in S} h_i(-1) act trivially on V^lambda?
+    """Does h_S = prod_{i in S} h_i(-1) act trivially on V^lambda, lambda a
+    DominantWeight?
 
     Parity criterion: sum_{i in S} <lambda, alpha_i^vee> even, and
     sum_{i in S} a_ij even for every j (the pairing of every weight of
     lambda + root lattice with sum_{i in S} alpha_i^vee is then even).
     """
-    coords = lam.coords if isinstance(lam, DominantWeight) else tuple(lam)
     subset = sorted(set(subset))
     if any(not 0 <= i < gcm.rank for i in subset):
         raise ValueError("subset contains an invalid node")
-    if sum(coords[i] for i in subset) % 2:
+    if sum(lam.coords[i] for i in subset) % 2:
         return False
     return all(
         sum(gcm.a(i, j) for i in subset) % 2 == 0 for j in range(gcm.rank)
@@ -319,6 +304,16 @@ def _gf2_generators(members, n):
 # Full verification run
 
 
+def report_head(source) -> dict:
+    """The {"diagram", "lambda", "depth"} head of a report on a module or
+    report source, which has .gcm, .lam and .depth."""
+    return {
+        "diagram": gcm_to_json(source.gcm),
+        "lambda": list(source.lam.coords),
+        "depth": source.depth,
+    }
+
+
 @dataclass
 class VerificationReport:
     gcm: GeneralizedCartanMatrix
@@ -341,12 +336,8 @@ class VerificationReport:
         }
 
     def to_json(self) -> dict:
-        out = {
-            "diagram": gcm_to_json(self.gcm),
-            "lambda": list(self.lam.coords),
-            "depth": self.depth,
-            "relations": [r.to_json() for r in self.results],
-        }
+        out = report_head(self)
+        out["relations"] = [r.to_json() for r in self.results]
         if self.kernel is not None:
             out["kernel"] = self.kernel
         return out

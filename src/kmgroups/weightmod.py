@@ -177,7 +177,7 @@ def build_module(
     mod = TruncatedModule(gcm, lam, depth)
     total = 0
     layer = [(0,) * gcm.rank]
-    for _ in range(depth + 1):
+    while layer and sum(layer[0]) <= depth:  # no slice at depth d: none deeper
         for k in layer:
             sl = _build_slice(mod, k)
             if sl is None:

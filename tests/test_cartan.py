@@ -185,6 +185,15 @@ def test_hyperbolic_requires_connected():
         is_hyperbolic(gcm_from_edges(4, [(0, 1), (2, 3)]))
 
 
+def test_rank2_hyperbolic_iff_ab_exceeds_4():
+    # [[2, -a], [-b, 2]] is finite for ab < 4, affine for ab = 4 and
+    # indefinite for ab > 4; its proper subdiagrams are A1
+    for a in range(1, 8):
+        for b in range(1, 8):
+            gcm = validate_gcm([[2, -a], [-b, 2]])
+            assert is_hyperbolic(gcm) == (a * b > 4), (a, b)
+
+
 def test_rank4_hyperbolic_enumeration_matches_oracle():
     """Exhaustive labelled enumeration at rank 4 against the brute-force
     subdiagram oracle; the hyperbolic count is derived, not hardcoded."""

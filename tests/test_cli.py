@@ -6,17 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from kmgroups import cli
+from kmgroups import cli, verifier
 from kmgroups.cartan import e_gcm, gcm_to_json
 from kmgroups.cli import (
     EXIT_INVALID,
     EXIT_IO,
     EXIT_OK,
+    EXIT_ORACLE_MISMATCH,
     EXIT_RELATION_FAILED,
     EXIT_WINDOW_EMPTY,
     main,
 )
-from kmgroups.verifier import SignNone
+from kmgroups.verifier import OracleMismatch, SignNone
 
 A2 = {"matrix": [[2, -1], [-1, 2]]}
 B2 = {"matrix": [[2, -2], [-1, 2]]}
@@ -188,6 +189,56 @@ def test_verify_window_empty_exit(capsys, a2_file):
         ["verify", "--gcm", a2_file, "--lambda", "1,1", "--depth", "1"],
     )
     assert code == EXIT_WINDOW_EMPTY
+
+
+def test_verify_min_window(capsys, a2_file):
+    argv = ["verify", "--gcm", a2_file, "--lambda", "1,1", "--depth", "4"]
+    code, out = run(capsys, argv + ["--min-window", "5"])
+    assert code == EXIT_WINDOW_EMPTY
+    relations = json.loads(out)["relations"]
+    assert relations and all(r["status"] == "window_empty" for r in relations)
+    # the default window is 0, so passing it changes no byte
+    assert run(capsys, argv + ["--min-window", "0"]) == run(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "command,patched", [("verify", verifier), ("kernel", cli)], ids=["verify", "kernel"]
+)
+def test_oracle_mismatch_exit(capsys, a2_file, tmp_path, monkeypatch, command, patched):
+    def mismatch(module):
+        raise OracleMismatch("h_S matrix for S=[0] differs from the identity")
+
+    monkeypatch.setattr(patched, "kernel_probe", mismatch)
+    argv = [command, "--gcm", a2_file, "--lambda", "1,1", "--depth", "4"]
+    code, out = run(capsys, argv)
+    assert code == EXIT_ORACLE_MISMATCH
+    assert json.loads(out) == {
+        "error": "OracleMismatch: h_S matrix for S=[0] differs from the identity"
+    }
+    # the error report itself cannot be written: an I/O error
+    code = main(argv + ["--out", str(tmp_path / "no_dir" / "x.json")])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
+@pytest.mark.parametrize("depth", [10**9, 10**20])
+def test_depth_beyond_the_module_stops_early(capsys, a2_file, depth):
+    # The A2 module of lambda = (1, 1) is the 8-dimensional adjoint module,
+    # whose deepest weight has depth 4; a larger depth must stop there, and
+    # one past int64 must not overflow.
+    common = ["--gcm", a2_file, "--lambda", "1,1", "--depth"]
+    _, small = run(capsys, ["module", *common, "4"])
+    code, big = run(capsys, ["module", *common, str(depth)])
+    assert code == EXIT_OK
+    small, big = json.loads(small), json.loads(big)
+    assert (small.pop("depth"), big.pop("depth")) == (4, depth)
+    assert big == small
+    code, out = run(capsys, ["verify", *common, str(depth)])
+    assert code == EXIT_OK
+    assert all(r["status"] == "verified" for r in json.loads(out)["relations"])
+    code, out = run(capsys, ["word", *common, str(depth), "--word", "S1 Y2(1)"])
+    assert code == EXIT_OK
+    assert json.loads(out)["window"] == depth
 
 
 def test_verify_failure_exit(capsys, a2_file, monkeypatch):

@@ -97,9 +97,10 @@ def test_window_empty_status():
 
 def test_failure_produces_witness(a2):
     # a deliberately false identity: S_i = X_i
-    from kmgroups.verifier import _compare, _S, _X
+    from kmgroups.verifier import _compare, _S, _X, evaluate_word
 
-    equal, window, compared, witness = _compare(a2, [_S(0)], [_X(0)], 0)
+    lhs, rhs = evaluate_word(a2, [_S(0)]), evaluate_word(a2, [_X(0)])
+    equal, window, compared, witness = _compare(lhs, rhs, 0)
     assert not equal
     assert witness is not None
     assert "column" in witness and "lhs_image" in witness and "rhs_image" in witness
