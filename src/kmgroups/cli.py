@@ -61,11 +61,11 @@ EXIT_ORACLE_MISMATCH = 5
 
 def _load_gcm(path: str, require_simply_laced: bool = False):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_INVALID, f"bad JSON in {path}: {exc}")
     try:
         return gcm_from_json(data, require_simply_laced=require_simply_laced)

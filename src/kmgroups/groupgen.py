@@ -1,15 +1,16 @@
 """Group generators acting on a depth-truncated Z-form.
 
-The basis of the module is numbered globally: the nonzero slices in
-weight_keys() order, each at its offset, so a group element is one sparse
-n x n integer matrix.  A WindowedMatrix stores it in compressed sparse
-column (CSC) form, as numpy arrays indptr / indices / data with sorted row
-indices and no stored zeros, together with one boolean exactness flag per
-column.  chi_plus(i, t) is exact on every column (e_i lowers depth, so the
-truncation loses nothing).  chi_minus(i, t) raises depth; a column is
-flagged exact if and only if the f_i-string of that basis vector ends
-inside the truncation, which the sharp sl2 rule f_i^(m) v = 0 <=> m > p + r
-decides for all columns at once (see chi_minus).
+A group element is one sparse n x n integer matrix over the global basis
+of its module (see TruncatedModule), which holds the generator cache and
+one shared identity in module.generators.  A WindowedMatrix holds its
+module and stores the matrix in compressed sparse column (CSC) form, as
+numpy arrays indptr / indices / data with sorted row indices and no stored
+zeros, together with one boolean exactness flag per column.  chi_plus(i, t)
+is exact on every column (e_i lowers depth, so the truncation loses
+nothing).  chi_minus(i, t) raises depth; a column is flagged exact if and
+only if the f_i-string of that basis vector ends inside the truncation,
+which the sharp sl2 rule f_i^(m) v = 0 <=> m > p + r decides for all
+columns at once (see chi_minus).
 
 A product is a vectorised sparse-times-sparse step: every nonzero B[k, j]
 of the right factor expands into A[:, k] * B[k, j], the partial products
@@ -27,11 +28,6 @@ product runs on int64 data, otherwise the same code runs on dtype=object
 data, where numpy's * and add.reduceat act on Python ints.  A generator's
 data is object when some t^m times an operator entry reaches 2^62.
 
-The generator context of a module (GeneratorContext) holds the numbering,
-one shared identity and the generator cache.  It is made at the first
-generator request and lives as long as the module; a matrix keeps its
-context, but not its module, alive.
-
 The "window" of a matrix is the largest depth d such that all columns of
 depth <= d are exact; equality of two group elements is only asserted on
 the intersection of their windows.
@@ -40,7 +36,6 @@ the intersection of their windows.
 from __future__ import annotations
 
 import re
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,45 +81,6 @@ class GeneratorSymbol:
         return self
 
 
-class GeneratorContext:
-    """The global basis numbering of one module and its generator cache."""
-
-    def __init__(self, module: TruncatedModule):
-        self._module = weakref.ref(module)
-        self.depth = module.depth
-        self.keys = module.weight_keys()
-        ranks = [module.slices[k].rank for k in self.keys]
-        self.rank = dict(zip(self.keys, ranks))
-        starts = np.cumsum([0] + ranks).tolist()
-        self.offset = dict(zip(self.keys, starts))
-        self.n = n = starts[-1]
-        # slice (an index into keys), depth vector and depth of each basis vector
-        self.slice_of = np.repeat(np.arange(len(self.keys)), ranks)
-        self.K = np.array(self.keys, dtype=np.int64)[self.slice_of]
-        self.depth_of = self.K.sum(1)
-        self.cols = np.arange(n, dtype=np.int64)
-        self.cache: dict = {}
-
-    @property
-    def module(self) -> TruncatedModule | None:
-        return self._module()
-
-    @cached_property
-    def identity(self) -> "WindowedMatrix":
-        return WindowedMatrix.identity(self.module)
-
-
-_CONTEXTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def generator_context(module: TruncatedModule) -> GeneratorContext:
-    """The module's context, made at the first request."""
-    ctx = _CONTEXTS.get(module)
-    if ctx is None:
-        ctx = _CONTEXTS[module] = GeneratorContext(module)
-    return ctx
-
-
 def _sum_sorted(key, vals):
     """The entries vals at the sorted keys, equal keys summed, zeros dropped."""
     if len(key):
@@ -135,20 +91,19 @@ def _sum_sorted(key, vals):
     return key, vals
 
 
-def _from_keys(ctx: GeneratorContext, key, vals, flags) -> "WindowedMatrix":
+def _from_keys(mod: TruncatedModule, key, vals, flags) -> "WindowedMatrix":
     """The matrix with entries vals at the sorted keys column * n + row."""
-    indptr = np.zeros(ctx.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // ctx.n, minlength=ctx.n), out=indptr[1:])
-    return WindowedMatrix(ctx, indptr, key % ctx.n, vals, flags)
+    indptr = np.zeros(mod.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // mod.n, minlength=mod.n), out=indptr[1:])
+    return WindowedMatrix(mod, indptr, key % mod.n, vals, flags)
 
 
 class WindowedMatrix:
-    """One CSC integer matrix over the global basis with per-column exact
-    flags.  Matrices are never modified after construction; .module is
-    None once the module is gone."""
+    """One CSC integer matrix over the global basis of .module with
+    per-column exact flags.  Matrices are never modified after construction."""
 
-    def __init__(self, ctx: GeneratorContext, indptr, indices, data, flags):
-        self.ctx = ctx
+    def __init__(self, module: TruncatedModule, indptr, indices, data, flags):
+        self.module = module
         self.indptr = indptr
         self.indices = indices
         self.data = data
@@ -156,35 +111,28 @@ class WindowedMatrix:
         self.max_abs = int(np.abs(data).max()) if len(data) else 0
         self.max_col_nnz = int(np.diff(indptr).max())
 
-    @property
-    def module(self) -> TruncatedModule | None:
-        return self.ctx.module
-
     @classmethod
     def identity(cls, module: TruncatedModule) -> "WindowedMatrix":
-        """A new identity; the context keeps one shared identity."""
-        ctx = generator_context(module)
-        return cls(
-            ctx, np.arange(ctx.n + 1), ctx.cols, np.ones(ctx.n, dtype=np.int64),
-            np.ones(ctx.n, dtype=bool),
-        )
+        """A new identity; module.generators keeps one shared identity."""
+        n, ones = module.n, np.ones(module.n, dtype=np.int64)
+        return cls(module, np.arange(n + 1), np.arange(n), ones, np.ones(n, bool))
 
     @cached_property
     def blocks(self) -> dict:
         """Read-only view: {(target, source): dense object block} of the
         nonzero blocks over the weight slices."""
-        ctx = self.ctx
-        cols = np.repeat(ctx.cols, np.diff(self.indptr))
-        tgt, src = ctx.slice_of[self.indices], ctx.slice_of[cols]
-        pair = tgt * len(ctx.keys) + src
+        mod = self.module
+        cols = np.repeat(np.arange(mod.n), np.diff(self.indptr))
+        tgt, src = mod.slice_of[self.indices], mod.slice_of[cols]
+        pair = tgt * len(mod.keys) + src
         order = np.argsort(pair, kind="stable")
         out = {}
         for sel in np.split(order, np.flatnonzero(np.diff(pair[order])) + 1):
             if not len(sel):
                 continue  # the zero matrix
-            t, s = ctx.keys[tgt[sel[0]]], ctx.keys[src[sel[0]]]
-            blk = np.zeros((ctx.rank[t], ctx.rank[s]), dtype=object)
-            blk[self.indices[sel] - ctx.offset[t], cols[sel] - ctx.offset[s]] = (
+            t, s = mod.keys[tgt[sel[0]]], mod.keys[src[sel[0]]]
+            blk = np.zeros((mod.rank_at(t), mod.rank_at(s)), dtype=object)
+            blk[self.indices[sel] - mod.offset[t], cols[sel] - mod.offset[s]] = (
                 self.data[sel].astype(object)
             )
             out[(t, s)] = blk
@@ -193,35 +141,35 @@ class WindowedMatrix:
     @cached_property
     def exact(self) -> dict:
         """Read-only view: {depth vector: [flag per column]} over every slice."""
-        ctx = self.ctx
+        mod = self.module
         return {
-            k: self.flags[ctx.offset[k]:ctx.offset[k] + ctx.rank[k]].tolist()
-            for k in ctx.keys
+            k: self.flags[mod.offset[k]:mod.offset[k] + mod.rank_at(k)].tolist()
+            for k in mod.keys
         }
 
     def column(self, src, c) -> dict:
         """Nonzero entries of column c of source slice src, keyed by target in
         weight_keys() order: {target: tuple over the target slice's basis}."""
-        ctx = self.ctx
-        j = ctx.offset[tuple(src)] + c
+        mod = self.module
+        j = mod.offset[tuple(src)] + c
         lo, hi = self.indptr[j], self.indptr[j + 1]
         rows = self.indices[lo:hi]
         out: dict = {}
         for s, r, v in zip(
-            ctx.slice_of[rows].tolist(), rows.tolist(), self.data[lo:hi].tolist()
+            mod.slice_of[rows].tolist(), rows.tolist(), self.data[lo:hi].tolist()
         ):
-            k = ctx.keys[s]
+            k = mod.keys[s]
             if k not in out:
-                out[k] = [0] * ctx.rank[k]
-            out[k][r - ctx.offset[k]] = v
+                out[k] = [0] * mod.rank_at(k)
+            out[k][r - mod.offset[k]] = v
         return {k: tuple(col) for k, col in out.items()}
 
     def __matmul__(self, other: "WindowedMatrix") -> "WindowedMatrix":
-        ctx = self.ctx
-        if other.ctx is not ctx:
+        mod = self.module
+        if other.module is not mod:
             raise ValueError("matrices act on different modules")
         inner = other.indices  # row k of each nonzero B[k, j]
-        outer_col = np.repeat(ctx.cols, np.diff(other.indptr))  # its column j
+        outer_col = np.repeat(np.arange(mod.n), np.diff(other.indptr))  # column j
         # Column j is inexact if B[:, j] touches a column inexact in A.
         flags = other.flags.copy()
         flags[outer_col[~self.flags[inner]]] = False
@@ -235,13 +183,13 @@ class WindowedMatrix:
         counts = np.diff(self.indptr)[inner]
         done = np.concatenate(([0], np.cumsum(counts)))[other.indptr]
         starts = np.searchsorted(done, np.arange(0, max(done[-1], 1), PIECE), "right")
-        bounds = other.indptr[np.append(starts - 1, ctx.n)]  # a repeat is empty
+        bounds = other.indptr[np.append(starts - 1, mod.n)]  # a repeat is empty
         keys, vals = [], []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             c = counts[lo:hi]
             idx = np.repeat(self.indptr[inner[lo:hi]] - (np.cumsum(c) - c), c)
             idx += np.arange(len(idx))  # position in A of each partial product
-            key = np.repeat(outer_col[lo:hi] * ctx.n, c)
+            key = np.repeat(outer_col[lo:hi] * mod.n, c)
             key += self.indices[idx]
             val = a[idx]
             del idx
@@ -250,12 +198,13 @@ class WindowedMatrix:
             key, val = _sum_sorted(key[order], val[order])
             keys.append(key)
             vals.append(val)
-        return _from_keys(ctx, np.concatenate(keys), np.concatenate(vals), flags)
+        return _from_keys(mod, np.concatenate(keys), np.concatenate(vals), flags)
 
     def valid_depth(self) -> int:
         """Largest d with every depth <= d column exact; -1 if none."""
-        bad = self.ctx.depth_of[~self.flags]
-        return min(self.ctx.depth, int(bad.min()) - 1) if len(bad) else self.ctx.depth
+        depth = self.module.depth
+        bad = self.module.depth_of[~self.flags]
+        return min(depth, int(bad.min()) - 1) if len(bad) else depth
 
     def equal_on_window(
         self, other: "WindowedMatrix", min_window: int = 0
@@ -268,7 +217,7 @@ class WindowedMatrix:
         Returns (equal, window, n_columns_compared).  Raises WindowEmpty if
         the joint window is below min_window.
         """
-        if other.ctx is not self.ctx:
+        if other.module is not self.module:
             raise ValueError("matrices act on different modules")
         window = min(self.valid_depth(), other.valid_depth())
         if window < min_window or window < 0:
@@ -288,15 +237,19 @@ class WindowedMatrix:
 
 
 def _cached(module: TruncatedModule, kind: str, i: int, t: int, make) -> WindowedMatrix:
-    """The cached generator (kind, i, t) of the module, or make(ctx) on a miss."""
-    ctx = generator_context(module)
+    """The cached generator (kind, i, t) of the module, or make() on a miss."""
     key = (kind, i, int(t))
-    if key not in ctx.cache:
-        ctx.cache[key] = make(ctx)
-    return ctx.cache[key]
+    if key not in module.generators:
+        module.generators[key] = make()
+    return module.generators[key]
 
 
-def _chi(ctx: GeneratorContext, sign: str, i: int, t: int, flags) -> WindowedMatrix:
+def shared_identity(module: TruncatedModule) -> WindowedMatrix:
+    """The module's one shared identity, cached as kind "1"."""
+    return _cached(module, "1", 0, 1, lambda: WindowedMatrix.identity(module))
+
+
+def _chi(mod: TruncatedModule, sign: str, i: int, t: int, flags) -> WindowedMatrix:
     """The identity plus t^m times every block of e_i^(m) (sign "e") or
     f_i^(m) (sign "f"), over the powers m the module holds, with the given
     column flags.
@@ -304,30 +257,30 @@ def _chi(ctx: GeneratorContext, sign: str, i: int, t: int, flags) -> WindowedMat
     A (target, source) pair gets at most one block, since the target
     k -+ m alpha_i determines m.
     """
-    ident = ctx.identity
-    rows, cols, vals = [ident.indices], [ctx.cols], [ident.data.astype(object)]
+    diag = np.arange(mod.n)
+    rows, cols, vals = [diag], [diag], [np.ones(mod.n, dtype=object)]
     step = -1 if sign == "e" else 1
-    for (op, node, m), blocks in ctx.module.ops.items():
+    for (op, node, m), blocks in mod.ops.items():
         if (op, node) != (sign, i):
             continue
         for k, blk in blocks.items():
             if blk.any():
                 r, c = np.nonzero(blk)
-                rows.append(r + ctx.offset[_shift(k, i, step * m)])
-                cols.append(c + ctx.offset[k])
+                rows.append(r + mod.offset[_shift(k, i, step * m)])
+                cols.append(c + mod.offset[k])
                 vals.append(blk[r, c] * t**m)
     vals = np.concatenate(vals)
     if int(np.abs(vals).max()) < INT64_LIMIT:
         vals = vals.astype(np.int64)
-    key = np.concatenate(cols) * ctx.n + np.concatenate(rows)
+    key = np.concatenate(cols) * mod.n + np.concatenate(rows)
     order = np.argsort(key)
-    return _from_keys(ctx, *_sum_sorted(key[order], vals[order]), flags)
+    return _from_keys(mod, *_sum_sorted(key[order], vals[order]), flags)
 
 
 def chi_plus(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
     """chi_{+alpha_i}(t) = sum_m t^m e_i^(m); exact on every column."""
     return _cached(
-        module, "X+", i, t, lambda ctx: _chi(ctx, "e", i, t, np.ones(ctx.n, dtype=bool))
+        module, "X+", i, t, lambda: _chi(module, "e", i, t, np.ones(module.n, bool))
     )
 
 
@@ -343,17 +296,18 @@ def chi_minus(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
     m > p + r (Humphreys, Introduction to Lie Algebras and Representation
     Theory, 7.2).  The column is exact iff p + r <= depth - depth(v).
     r is read off chi_plus(i, 1): its row indices are sorted and depth
-    grows with the basis index, so a column's first row is its deepest
-    drop (the identity entry makes every column nonempty).
+    never decreases with the basis index (TruncatedModule), so a column's
+    first row is its deepest drop (the identity entry makes every column
+    nonempty).
     """
 
-    def make(ctx):
+    def make():
         up = chi_plus(module, i, 1)
-        r = ctx.depth_of - ctx.depth_of[up.indices[up.indptr[:-1]]]
-        p = module.lam.coords[i] - ctx.K @ np.array(module.gcm.entries[i])
+        r = module.depth_of - module.depth_of[up.indices[up.indptr[:-1]]]
+        p = module.lam.coords[i] - module.K @ np.array(module.gcm.entries[i])
         # int64 arithmetic: a deeper truncation flags what depth 2^62 does
-        room = min(ctx.depth, INT64_LIMIT) - ctx.depth_of
-        return _chi(ctx, "f", i, t, p + r <= room)
+        room = min(module.depth, INT64_LIMIT) - module.depth_of
+        return _chi(module, "f", i, t, p + r <= room)
 
     return _cached(module, "X-", i, t, make)
 
@@ -363,7 +317,7 @@ def w_tilde(module: TruncatedModule, i: int, t: int = 1) -> WindowedMatrix:
     if t not in (1, -1):
         raise NonUnitScalar(f"w~ requires t = +-1, got {t}")
 
-    def make(ctx):
+    def make():
         xp = chi_plus(module, i, t)
         return xp @ chi_minus(module, i, -t) @ xp
 
@@ -375,7 +329,7 @@ def h_element(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
     if t not in (1, -1):
         raise NonUnitScalar(f"h requires t = +-1, got {t}")
     return _cached(
-        module, "H", i, t, lambda ctx: w_tilde(module, i, t) @ w_tilde(module, i, -1)
+        module, "H", i, t, lambda: w_tilde(module, i, t) @ w_tilde(module, i, -1)
     )
 
 
@@ -394,14 +348,14 @@ def generator_matrix(module: TruncatedModule, sym: GeneratorSymbol) -> WindowedM
 def evaluate_word(module: TruncatedModule, symbols) -> WindowedMatrix:
     """Product of generator matrices, left factor applied last.
 
-    The empty word gives the context's shared identity and a one-letter
+    The empty word gives the module's shared identity and a one-letter
     word the cached generator matrix itself.
     """
     out = None
     for sym in symbols:
         mat = generator_matrix(module, sym)
         out = mat if out is None else out @ mat
-    return generator_context(module).identity if out is None else out
+    return shared_identity(module) if out is None else out
 
 
 _TOKEN = re.compile(

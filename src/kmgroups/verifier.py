@@ -22,8 +22,8 @@ from .groupgen import (
     GeneratorSymbol,
     WindowEmpty,
     evaluate_word,
-    generator_context,
     h_element,
+    shared_identity,
 )
 from .weightmod import DominantWeight, TruncatedModule
 
@@ -261,7 +261,7 @@ def kernel_probe(module: TruncatedModule) -> dict:
     n = gcm.rank
     members = []
     not_separated = []
-    ident = generator_context(module).identity
+    ident = shared_identity(module)
     for mask in range(1 << n):
         subset = [i for i in range(n) if mask >> i & 1]
         crit = kernel_membership(gcm, lam, subset)

@@ -98,7 +98,17 @@ def _words(k) -> list[tuple[int, ...]]:
 class TruncatedModule:
     """The nonzero weight slices of V^lambda with depth <= depth, over Z,
     in (depth, lex) order; a depth vector in range with no slice has weight
-    space 0."""
+    space 0.  build_module numbers their basis vectors globally (keys to
+    depth_of below); generators caches the group elements over that basis
+    and their shared identity (see groupgen)."""
+
+    keys: list[tuple[int, ...]]  # weight_keys()
+    offset: dict[tuple[int, ...], int]  # index of each slice's first vector
+    n: int  # total rank
+    # per basis vector: its slice (an index into keys), depth vector, depth
+    slice_of: np.ndarray
+    K: np.ndarray
+    depth_of: np.ndarray
 
     def __init__(self, gcm: GeneralizedCartanMatrix, lam: DominantWeight, depth: int):
         self.gcm = gcm
@@ -107,6 +117,7 @@ class TruncatedModule:
         self.slices: dict[tuple[int, ...], WeightSlice] = {}
         # (sign, i, m) -> {source depth_vector: (r_tgt x r_src) int matrix}
         self.ops: dict[tuple[str, int, int], dict[tuple[int, ...], np.ndarray]] = {}
+        self.generators: dict = {}  # (kind, node, scalar) -> WindowedMatrix
 
     # -- weights ----------------------------------------------------------
 
@@ -191,6 +202,15 @@ def build_module(
         layer = sorted(
             {_shift(k, j, 1) for k in layer if k in mod.slices for j in range(gcm.rank)}
         )
+    # the global basis, set once: slice by slice in the order the layers
+    # inserted them, (depth, lex), so depth_of never decreases with the index
+    mod.keys = list(mod.slices)
+    ranks = [mod.slices[k].rank for k in mod.keys]
+    starts = np.cumsum([0] + ranks).tolist()
+    mod.offset, mod.n = dict(zip(mod.keys, starts)), starts[-1]
+    mod.slice_of = np.repeat(np.arange(len(ranks)), ranks)
+    mod.K = np.array(mod.keys, dtype=np.int64)[mod.slice_of]
+    mod.depth_of = mod.K.sum(1)
     return mod
 
 

@@ -74,6 +74,23 @@ def test_classify_bad_json(capsys, tmp_path):
     assert code == EXIT_INVALID
 
 
+NEEDS = {"classify": [], "verify": ["--lambda", "1,1", "--depth", "1"],
+         "word": ["--lambda", "1,1", "--depth", "1", "--word", "S1"]}
+
+
+@pytest.mark.parametrize("command", list(NEEDS))
+def test_non_utf8_gcm_is_invalid_input(capsys, tmp_path, command):
+    # a UTF-16 byte order mark and text: not UTF-8, so not a JSON file
+    p = tmp_path / "bad.json"
+    p.write_bytes(b"\xff\xfe\x00" + json.dumps(A2).encode("utf-16-le"))
+    code = main([command, "--gcm", str(p)] + NEEDS[command])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad JSON in {p}: ")
+    assert captured.err.count("\n") == 1
+
+
 MALFORMED = {"number": 5, "matrix-number": {"matrix": 5},
              "matrix-flat": {"matrix": [1, 2]}, "matrix-null": {"matrix": None},
              "string": "abc"}

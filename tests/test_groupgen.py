@@ -14,6 +14,7 @@ from kmgroups.groupgen import (
     generator_matrix,
     h_element,
     parse_word,
+    shared_identity,
     w_tilde,
 )
 from kmgroups.weightmod import DominantWeight, build_module
@@ -348,3 +349,44 @@ def test_parse_word_errors():
 
 def test_parse_word_empty():
     assert parse_word("", rank=2) == []
+
+
+# -- the generator cache on the module ---------------------------------------
+
+
+GENERATORS = {"X+": chi_plus, "X-": chi_minus, "S": w_tilde, "H": h_element}
+
+
+def test_repeated_generator_requests_return_the_cached_matrix(a2):
+    for kind, make in GENERATORS.items():
+        first = make(a2, 1, -1)
+        assert make(a2, 1, -1) is first
+        assert a2.generators[(kind, 1, -1)] is first and first.module is a2
+    assert evaluate_word(a2, [GeneratorSymbol("S", 0, 1)]) is w_tilde(a2, 0, 1)
+
+
+def test_empty_word_is_the_shared_identity(a2):
+    ident = evaluate_word(a2, [])
+    assert evaluate_word(a2, []) is ident
+    assert shared_identity(a2) is ident
+    assert ident is not WindowedMatrix.identity(a2)
+    equal, window, compared = ident.equal_on_window(WindowedMatrix.identity(a2))
+    assert equal and window == 4 and compared == a2.n
+
+
+def test_two_builds_share_no_matrix():
+    mods = [build_module(path_gcm(2), DominantWeight((1, 1)), 4) for _ in range(2)]
+    word = parse_word("X1(1) Y2(-1) S1 H2(-1)", rank=2)
+    for m in mods:
+        evaluate_word(m, word)
+        evaluate_word(m, [])
+    first, second = (m.generators for m in mods)
+    assert first.keys() == second.keys()
+    for key in first:
+        assert first[key] is not second[key]
+        assert first[key].module is mods[0] and second[key].module is mods[1]
+        assert first[key].equal_on_window(first[key])[0]
+        with pytest.raises(ValueError, match="different modules"):
+            first[key] @ second[key]
+        with pytest.raises(ValueError, match="different modules"):
+            first[key].equal_on_window(second[key])

@@ -399,3 +399,28 @@ def test_slices_are_the_nonzero_weight_spaces(gcm, lam, depth, empty):
         m.operator_block("f", 0, 1, (depth,) + (0,) * (gcm.rank - 1))
     with pytest.raises(SliceOutOfRange):
         m.operator_block("e", 0, 1, (-1,) + (0,) * (gcm.rank - 1))
+
+
+@pytest.mark.parametrize(
+    "gcm,lam,depth",
+    [
+        (path_gcm(2), (1, 1), 4),
+        (triangle_with_pendant_gcm(), (1, 1, 1, 1), 5),
+        (e_gcm(10), (1,) * 10, 3),
+    ],
+    ids=["a2-d4", "rank4-d5", "e10-d3"],
+)
+def test_global_basis_numbering(gcm, lam, depth):
+    # groupgen.chi_minus reads a column's deepest drop off its first row,
+    # which needs depth_of to be non-decreasing in the basis index
+    m = build_module(gcm, DominantWeight(lam), depth)
+    assert m.keys == m.weight_keys()
+    start = 0
+    for s, k in enumerate(m.keys):
+        assert m.offset[k] == start
+        rows = slice(start, start + m.rank_at(k))
+        assert (m.slice_of[rows] == s).all()
+        assert (m.K[rows] == k).all() and (m.depth_of[rows] == sum(k)).all()
+        start += m.rank_at(k)
+    assert m.n == start == m.total_rank() == len(m.depth_of)
+    assert (np.diff(m.depth_of) >= 0).all()
