@@ -12,14 +12,17 @@ only if the f_i-string of that basis vector ends inside the truncation,
 which the sharp sl2 rule f_i^(m) v = 0 <=> m > p + r decides for all
 columns at once (see chi_minus).
 
-A product is a vectorised sparse-times-sparse step: every nonzero B[k, j]
-of the right factor expands into A[:, k] * B[k, j], the partial products
-are sorted on the key j * n + row and summed with np.add.reduceat, and the
+Only exact columns are computed: every inexact column is stored empty,
+since nothing reads it.  A product first finds its flags in one pass over
+the nonzeros of B: column j of A @ B is exact when column j of B is exact
+and no row k with B[k, j] != 0 is an inexact column of A.  So an exact
+column reads only exact columns of A, and the nonzeros of B in the
+inexact columns of A @ B are dropped before anything is expanded.  The
+product is then a vectorised sparse-times-sparse step: every remaining
+nonzero B[k, j] expands into A[:, k] * B[k, j], the partial products are
+sorted on the key j * n + row and summed with np.add.reduceat, and the
 sums that vanish are dropped; this runs on whole columns of B, about
 PIECE partial products at a time, so the scratch memory stays bounded.
-The flags follow in one pass over the nonzeros of B: column j of A @ B
-is exact when column j of B is exact and no row k with B[k, j] != 0 is
-an inexact column of A.
 
 Arithmetic is exact.  Every entry of A @ B is at most
 max|A| * max|B| * (largest number of nonzeros in a column of B) in absolute
@@ -120,7 +123,8 @@ class WindowedMatrix:
     @cached_property
     def blocks(self) -> dict:
         """Read-only view: {(target, source): dense object block} of the
-        nonzero blocks over the weight slices."""
+        nonzero blocks over the weight slices; an inexact column reads as
+        empty."""
         mod = self.module
         cols = np.repeat(np.arange(mod.n), np.diff(self.indptr))
         tgt, src = mod.slice_of[self.indices], mod.slice_of[cols]
@@ -149,7 +153,8 @@ class WindowedMatrix:
 
     def column(self, src, c) -> dict:
         """Nonzero entries of column c of source slice src, keyed by target in
-        weight_keys() order: {target: tuple over the target slice's basis}."""
+        weight_keys() order: {target: tuple over the target slice's basis};
+        {} for an inexact column."""
         mod = self.module
         j = mod.offset[tuple(src)] + c
         lo, hi = self.indptr[j], self.indptr[j + 1]
@@ -173,17 +178,23 @@ class WindowedMatrix:
         # Column j is inexact if B[:, j] touches a column inexact in A.
         flags = other.flags.copy()
         flags[outer_col[~self.flags[inner]]] = False
+        # Only the exact columns are computed: drop B's other columns.
+        keep = flags[outer_col]
+        inner, outer_col = inner[keep], outer_col[keep]
+        indptr = np.zeros(mod.n + 1, dtype=np.int64)
+        np.cumsum(np.where(flags, np.diff(other.indptr), 0), out=indptr[1:])
         dtype = object
         if self.max_abs * other.max_abs * other.max_col_nnz < INT64_LIMIT:
             dtype = np.int64
-        a, b = self.data.astype(dtype, copy=False), other.data.astype(dtype, copy=False)
+        a = self.data.astype(dtype, copy=False)
+        b = other.data[keep].astype(dtype, copy=False)
         # Each B[k, j] expands into the nonzeros of A[:, k].  Runs of whole
         # columns of B, of about PIECE partial products each, are expanded,
         # sorted and summed in turn, which bounds the scratch memory.
         counts = np.diff(self.indptr)[inner]
-        done = np.concatenate(([0], np.cumsum(counts)))[other.indptr]
+        done = np.concatenate(([0], np.cumsum(counts)))[indptr]
         starts = np.searchsorted(done, np.arange(0, max(done[-1], 1), PIECE), "right")
-        bounds = other.indptr[np.append(starts - 1, mod.n)]  # a repeat is empty
+        bounds = indptr[np.append(starts - 1, mod.n)]  # a repeat is empty
         keys, vals = [], []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             c = counts[lo:hi]
@@ -251,8 +262,8 @@ def shared_identity(module: TruncatedModule) -> WindowedMatrix:
 
 def _chi(mod: TruncatedModule, sign: str, i: int, t: int, flags) -> WindowedMatrix:
     """The identity plus t^m times every block of e_i^(m) (sign "e") or
-    f_i^(m) (sign "f"), over the powers m the module holds, with the given
-    column flags.
+    f_i^(m) (sign "f"), over the powers m the module holds, on the columns
+    the given flags mark exact; the other columns are stored empty.
 
     A (target, source) pair gets at most one block, since the target
     k -+ m alpha_i determines m.
@@ -272,7 +283,9 @@ def _chi(mod: TruncatedModule, sign: str, i: int, t: int, flags) -> WindowedMatr
     vals = np.concatenate(vals)
     if int(np.abs(vals).max()) < INT64_LIMIT:
         vals = vals.astype(np.int64)
-    key = np.concatenate(cols) * mod.n + np.concatenate(rows)
+    cols, rows = np.concatenate(cols), np.concatenate(rows)
+    keep = flags[cols]  # an inexact column is stored empty
+    key, vals = cols[keep] * mod.n + rows[keep], vals[keep]
     order = np.argsort(key)
     return _from_keys(mod, *_sum_sorted(key[order], vals[order]), flags)
 

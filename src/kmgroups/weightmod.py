@@ -123,7 +123,7 @@ class TruncatedModule:
 
     def weight_keys(self) -> list[tuple[int, ...]]:
         """All depth vectors with a non-trivial weight space, sorted."""
-        return list(self.slices)
+        return self.keys
 
     def _in_range(self, depth_vector) -> tuple[int, ...]:
         """depth_vector as a tuple; SliceOutOfRange outside the truncation."""
@@ -138,7 +138,7 @@ class TruncatedModule:
         return 0 if sl is None else sl.rank
 
     def total_rank(self) -> int:
-        return sum(s.rank for s in self.slices.values())
+        return self.n
 
     def coroot_pairing(self, depth_vector, i: int) -> int:
         """<mu, alpha_i^vee> for mu = lambda - sum_j k_j alpha_j."""

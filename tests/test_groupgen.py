@@ -17,6 +17,7 @@ from kmgroups.groupgen import (
     shared_identity,
     w_tilde,
 )
+from kmgroups.verifier import relation_instances, relation_words
 from kmgroups.weightmod import DominantWeight, build_module
 
 
@@ -148,14 +149,20 @@ def test_chi_minus_flags_are_sharp(case):
     # (k, c) is the same vector at depth d and d + 1.  It is flagged exact
     # at d iff its f_i-string stops inside d, that is iff one depth deeper
     # it has no target at depth d + 1; then the image does not change.
+    # The depth-(d + 1) image v + sum_m f_i^(m) v is read off the Z-form's
+    # operator blocks, as a group element stores its inexact columns empty.
     gcm, lam, d = SHARP_CASES[case]
     low = build_module(gcm, DominantWeight(lam), d)
     high = build_module(gcm, DominantWeight(lam), d + 1)
     for i in range(gcm.rank):
-        y, deeper = chi_minus(low, i, 1), chi_minus(high, i, 1)
+        y = chi_minus(low, i, 1)
         for k in low.weight_keys():
             for c in range(low.rank_at(k)):
-                image = deeper.column(k, c)
+                image = {k: tuple(int(a == c) for a in range(low.rank_at(k)))}
+                for m in range(1, d + 2 - sum(k)):
+                    col = high.operator_block("f", i, m, k)[:, c]
+                    if col.any():
+                        image[k[:i] + (k[i] + m,) + k[i + 1:]] = tuple(map(int, col))
                 assert y.exact[k][c] == all(sum(t) <= d for t in image)
                 if y.exact[k][c]:
                     assert y.column(k, c) == image
@@ -232,15 +239,23 @@ def _reference_column(mat, src, c):
 
 
 def _assert_matches_reference(left, right):
+    """left @ right against the dense reference: the same flags, the same
+    entries on every exact column, and every inexact column stored empty."""
     prod = left @ right
     blocks, exact = _reference_product(left, right)
-    assert set(prod.blocks) == set(blocks)
-    for key, entries in blocks.items():
+    assert prod.exact == exact
+    on_exact = {}
+    for (tgt, src), entries in blocks.items():
+        kept = {(a, c, v) for a, c, v in entries if exact[src][c]}
+        if kept:
+            on_exact[(tgt, src)] = kept
+    assert set(prod.blocks) == set(on_exact)
+    for key, entries in on_exact.items():
         blk = prod.blocks[key]
         nonzero = {(a, c, blk[a, c]) for a in range(blk.shape[0])
                    for c in range(blk.shape[1]) if blk[a, c]}
         assert nonzero == entries
-    assert prod.exact == exact
+    assert np.repeat(prod.flags, np.diff(prod.indptr)).all()
     for k in prod.module.weight_keys():
         for c in range(prod.module.rank_at(k)):
             assert prod.column(k, c) == _reference_column(prod, k, c)
@@ -279,6 +294,32 @@ def test_evaluate_word_empty_and_single_letter(rank4):
         assert one.exact == gen.exact
         # the identity on the left changes nothing either
         _assert_matches_reference(ident, gen)
+
+
+@pytest.mark.parametrize(
+    "gcm,lam,depth",
+    [(triangle_with_pendant_gcm(), (1, 1, 1, 1), 5), (e_gcm(10), (1,) * 10, 3)],
+    ids=["rank4-d5", "e10-d3"],
+)
+def test_inexact_columns_are_stored_empty(gcm, lam, depth):
+    # every generator and both words of every relation instance store no
+    # nonzero in a column flagged inexact
+    m = build_module(gcm, DominantWeight(lam), depth)
+    words = [
+        [GeneratorSymbol(kind, i, t)]
+        for kind in ("X+", "X-", "S", "H")
+        for i in range(gcm.rank)
+        for t in (1, -1)
+    ]
+    for rid, nodes in relation_instances(gcm):
+        for sign in (1, -1) if rid == "R11" else (1,):
+            words.extend(relation_words(rid, nodes, sign))
+    inexact = 0  # matrices with an inexact column, so the check is not idle
+    for word in words:
+        mat = evaluate_word(m, word)
+        assert np.repeat(mat.flags, np.diff(mat.indptr)).all()
+        inexact += not mat.flags.all()
+    assert inexact > len(words) // 2
 
 
 def test_product_switches_to_object_data_at_the_int64_bound():
