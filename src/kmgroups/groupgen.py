@@ -10,7 +10,9 @@ is exact on every column (e_i lowers depth, so the truncation loses
 nothing).  chi_minus(i, t) raises depth; a column is flagged exact if and
 only if the f_i-string of that basis vector ends inside the truncation,
 which the sharp sl2 rule f_i^(m) v = 0 <=> m > p + r decides for all
-columns at once (see chi_minus).
+columns at once (see chi_minus).  Only chi_plus(i, 1) and chi_minus(i, 1)
+walk the module's operator blocks; chi(i, t) for any other t scales each
+entry of chi(i, 1) by t^m, m the depth difference of its row and column.
 
 Only exact columns are computed: every inexact column is stored empty,
 since nothing reads it.  A product first finds its flags in one pass over
@@ -22,14 +24,16 @@ product is then a vectorised sparse-times-sparse step: every remaining
 nonzero B[k, j] expands into A[:, k] * B[k, j], the partial products are
 sorted on the key j * n + row and summed with np.add.reduceat, and the
 sums that vanish are dropped; this runs on whole columns of B, about
-PIECE partial products at a time, so the scratch memory stays bounded.
+PIECE partial products at a time, so the scratch memory stays bounded;
+a product that expands to at most PIECE partial products is one piece.
 
 Arithmetic is exact.  Every entry of A @ B is at most
 max|A| * max|B| * (largest number of nonzeros in a column of B) in absolute
 value, and so is every partial sum; when that bound is below 2^62 the
 product runs on int64 data, otherwise the same code runs on dtype=object
 data, where numpy's * and add.reduceat act on Python ints.  A generator's
-data is object when some t^m times an operator entry reaches 2^62.
+data is object when one of its stored entries, t^m times an operator
+entry, reaches 2^62.
 
 The "window" of a matrix is the largest depth d such that all columns of
 depth <= d are exact; equality of two group elements is only asserted on
@@ -87,7 +91,7 @@ class GeneratorSymbol:
 def _sum_sorted(key, vals):
     """The entries vals at the sorted keys, equal keys summed, zeros dropped."""
     if len(key):
-        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        first = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
         vals = np.add.reduceat(vals, first)
         keep = vals != 0
         key, vals = key[first[keep]], vals[keep]
@@ -96,9 +100,9 @@ def _sum_sorted(key, vals):
 
 def _from_keys(mod: TruncatedModule, key, vals, flags) -> "WindowedMatrix":
     """The matrix with entries vals at the sorted keys column * n + row."""
-    indptr = np.zeros(mod.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // mod.n, minlength=mod.n), out=indptr[1:])
-    return WindowedMatrix(mod, indptr, key % mod.n, vals, flags)
+    col, row = np.divmod(key, mod.n)
+    indptr = col.searchsorted(np.arange(mod.n + 1))
+    return WindowedMatrix(mod, indptr, row, vals, flags)
 
 
 class WindowedMatrix:
@@ -111,8 +115,12 @@ class WindowedMatrix:
         self.indices = indices
         self.data = data
         self.flags = flags  # bool per column
+        self.col_nnz = indptr[1:] - indptr[:-1]  # nonzeros per column
         self.max_abs = int(np.abs(data).max()) if len(data) else 0
-        self.max_col_nnz = int(np.diff(indptr).max())
+
+    @cached_property
+    def max_col_nnz(self) -> int:
+        return int(self.col_nnz.max())
 
     @classmethod
     def identity(cls, module: TruncatedModule) -> "WindowedMatrix":
@@ -126,7 +134,7 @@ class WindowedMatrix:
         nonzero blocks over the weight slices; an inexact column reads as
         empty."""
         mod = self.module
-        cols = np.repeat(np.arange(mod.n), np.diff(self.indptr))
+        cols = np.repeat(np.arange(mod.n), self.col_nnz)
         tgt, src = mod.slice_of[self.indices], mod.slice_of[cols]
         pair = tgt * len(mod.keys) + src
         order = np.argsort(pair, kind="stable")
@@ -174,15 +182,14 @@ class WindowedMatrix:
         if other.module is not mod:
             raise ValueError("matrices act on different modules")
         inner = other.indices  # row k of each nonzero B[k, j]
-        outer_col = np.repeat(np.arange(mod.n), np.diff(other.indptr))  # column j
+        outer_col = np.arange(mod.n).repeat(other.col_nnz)  # column j
         # Column j is inexact if B[:, j] touches a column inexact in A.
         flags = other.flags.copy()
         flags[outer_col[~self.flags[inner]]] = False
         # Only the exact columns are computed: drop B's other columns.
         keep = flags[outer_col]
         inner, outer_col = inner[keep], outer_col[keep]
-        indptr = np.zeros(mod.n + 1, dtype=np.int64)
-        np.cumsum(np.where(flags, np.diff(other.indptr), 0), out=indptr[1:])
+        indptr = outer_col.searchsorted(np.arange(mod.n + 1))
         dtype = object
         if self.max_abs * other.max_abs * other.max_col_nnz < INT64_LIMIT:
             dtype = np.int64
@@ -191,21 +198,23 @@ class WindowedMatrix:
         # Each B[k, j] expands into the nonzeros of A[:, k].  Runs of whole
         # columns of B, of about PIECE partial products each, are expanded,
         # sorted and summed in turn, which bounds the scratch memory.
-        counts = np.diff(self.indptr)[inner]
-        done = np.concatenate(([0], np.cumsum(counts)))[indptr]
-        starts = np.searchsorted(done, np.arange(0, max(done[-1], 1), PIECE), "right")
-        bounds = indptr[np.append(starts - 1, mod.n)]  # a repeat is empty
+        counts = self.col_nnz[inner]
+        bounds = [0, len(inner)]
+        if counts.sum() > PIECE:
+            done = np.concatenate(([0], np.cumsum(counts)))[indptr]
+            starts = np.searchsorted(done, np.arange(0, done[-1], PIECE), "right")
+            bounds = indptr[np.append(starts - 1, mod.n)]  # a repeat is empty
         keys, vals = [], []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             c = counts[lo:hi]
-            idx = np.repeat(self.indptr[inner[lo:hi]] - (np.cumsum(c) - c), c)
+            idx = (self.indptr[inner[lo:hi]] - (c.cumsum() - c)).repeat(c)
             idx += np.arange(len(idx))  # position in A of each partial product
-            key = np.repeat(outer_col[lo:hi] * mod.n, c)
+            key = (outer_col[lo:hi] * mod.n).repeat(c)
             key += self.indices[idx]
             val = a[idx]
             del idx
-            val *= np.repeat(b[lo:hi], c)
-            order = np.argsort(key)
+            val *= b[lo:hi].repeat(c)
+            order = key.argsort()
             key, val = _sum_sorted(key[order], val[order])
             keys.append(key)
             vals.append(val)
@@ -236,7 +245,7 @@ class WindowedMatrix:
                 f"joint validity window {window} below required {min_window}"
             )
         both = self.flags & other.flags
-        mine, theirs = np.diff(self.indptr), np.diff(other.indptr)
+        mine, theirs = self.col_nnz, other.col_nnz
         equal = np.array_equal(mine[both], theirs[both])
         if equal:
             # same nonzero counts: the entries of the compared columns align
@@ -260,13 +269,23 @@ def shared_identity(module: TruncatedModule) -> WindowedMatrix:
     return _cached(module, "1", 0, 1, lambda: WindowedMatrix.identity(module))
 
 
-def _chi(mod: TruncatedModule, sign: str, i: int, t: int, flags) -> WindowedMatrix:
-    """The identity plus t^m times every block of e_i^(m) (sign "e") or
-    f_i^(m) (sign "f"), over the powers m the module holds, on the columns
-    the given flags mark exact; the other columns are stored empty.
+def _narrowed(vals):
+    """The object array vals as int64 if every entry is below 2^62 in
+    absolute value, else vals itself."""
+    if vals.dtype == object and (not len(vals) or np.abs(vals).max() < INT64_LIMIT):
+        return vals.astype(np.int64)
+    return vals
 
-    A (target, source) pair gets at most one block, since the target
-    k -+ m alpha_i determines m.
+
+def _chi(mod: TruncatedModule, sign: str, i: int, flags) -> WindowedMatrix:
+    """chi(1): the identity plus every block of e_i^(m) (sign "e") or f_i^(m)
+    (sign "f"), over the powers m the module holds, on the columns the given
+    flags mark exact; the other columns are stored empty.
+
+    This is the only walk over the operator blocks of (sign, i).  A (target,
+    source) pair gets at most one block, since the target k -+ m alpha_i
+    determines m, and np.nonzero keeps no zero entry, so no two keys are
+    equal and none holds 0.
     """
     diag = np.arange(mod.n)
     rows, cols, vals = [diag], [diag], [np.ones(mod.n, dtype=object)]
@@ -275,26 +294,44 @@ def _chi(mod: TruncatedModule, sign: str, i: int, t: int, flags) -> WindowedMatr
         if (op, node) != (sign, i):
             continue
         for k, blk in blocks.items():
-            if blk.any():
-                r, c = np.nonzero(blk)
-                rows.append(r + mod.offset[_shift(k, i, step * m)])
-                cols.append(c + mod.offset[k])
-                vals.append(blk[r, c] * t**m)
-    vals = np.concatenate(vals)
-    if int(np.abs(vals).max()) < INT64_LIMIT:
-        vals = vals.astype(np.int64)
-    cols, rows = np.concatenate(cols), np.concatenate(rows)
+            r, c = np.nonzero(blk)
+            rows.append(r + mod.offset[_shift(k, i, step * m)])
+            cols.append(c + mod.offset[k])
+            vals.append(blk[r, c])
+    cols, rows, vals = np.concatenate(cols), np.concatenate(rows), np.concatenate(vals)
     keep = flags[cols]  # an inexact column is stored empty
-    key, vals = cols[keep] * mod.n + rows[keep], vals[keep]
-    order = np.argsort(key)
-    return _from_keys(mod, *_sum_sorted(key[order], vals[order]), flags)
+    key, vals = cols[keep] * mod.n + rows[keep], _narrowed(vals[keep])
+    order = key.argsort()
+    return _from_keys(mod, key[order], vals[order], flags)
+
+
+def _scaled(base: WindowedMatrix, t: int) -> WindowedMatrix:
+    """chi(t) from chi(1) = base: the entry in row r of column c lies in the
+    block of e_i^(m) or f_i^(m), m = |depth(r) - depth(c)|, as that block
+    moves depth by exactly m, so it is scaled by t^m; zeros (t = 0, m > 0)
+    are dropped."""
+    mod, t = base.module, int(t)  # t**e of a numpy integer would wrap
+    cols = np.repeat(np.arange(mod.n), base.col_nnz)
+    m = np.abs(mod.depth_of[base.indices] - mod.depth_of[cols])
+    top = int(m.max()) if len(m) else 0
+    power = np.array([t**e for e in range(top + 1)], dtype=object)
+    if base.max_abs * abs(t) ** top < INT64_LIMIT:
+        power = power.astype(np.int64)
+    vals = _narrowed(base.data * power[m])
+    keep = vals != 0
+    indptr = np.concatenate(([0], np.cumsum(keep)))[base.indptr]
+    return WindowedMatrix(mod, indptr, base.indices[keep], vals[keep], base.flags)
 
 
 def chi_plus(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
     """chi_{+alpha_i}(t) = sum_m t^m e_i^(m); exact on every column."""
-    return _cached(
-        module, "X+", i, t, lambda: _chi(module, "e", i, t, np.ones(module.n, bool))
-    )
+
+    def make():
+        if t != 1:
+            return _scaled(chi_plus(module, i, 1), t)
+        return _chi(module, "e", i, np.ones(module.n, bool))
+
+    return _cached(module, "X+", i, t, make)
 
 
 def chi_minus(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
@@ -311,16 +348,18 @@ def chi_minus(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
     r is read off chi_plus(i, 1): its row indices are sorted and depth
     never decreases with the basis index (TruncatedModule), so a column's
     first row is its deepest drop (the identity entry makes every column
-    nonempty).
+    nonempty).  The flags do not depend on t.
     """
 
     def make():
+        if t != 1:
+            return _scaled(chi_minus(module, i, 1), t)
         up = chi_plus(module, i, 1)
         r = module.depth_of - module.depth_of[up.indices[up.indptr[:-1]]]
         p = module.lam.coords[i] - module.K @ np.array(module.gcm.entries[i])
         # int64 arithmetic: a deeper truncation flags what depth 2^62 does
         room = min(module.depth, INT64_LIMIT) - module.depth_of
-        return _chi(module, "f", i, t, p + r <= room)
+        return _chi(module, "f", i, p + r <= room)
 
     return _cached(module, "X-", i, t, make)
 

@@ -10,12 +10,15 @@ once, with both candidates; it is None when both verify.
 
 The kernel probe decides which elements h_S = prod_{i in S} h_i(-1) of the
 finite diagonal subgroup act trivially, by a GF(2) parity criterion
-cross-checked against the matrices themselves.
+cross-checked against the matrices themselves and against a diagonal
+oracle that reads one parity table of the populated weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .cartan import GeneralizedCartanMatrix, gcm_to_json
 from .groupgen import (
@@ -226,13 +229,20 @@ def kernel_membership(gcm: GeneralizedCartanMatrix, lam, subset) -> bool:
     )
 
 
-def _oracle_trivial_on_truncation(module: TruncatedModule, subset) -> bool:
+def _parity_table(module: TruncatedModule) -> np.ndarray:
+    """<mu, alpha_i^vee> mod 2 as an integer table, one row per populated
+    weight mu = lambda - sum_j k_j alpha_j (weight_keys() order), one
+    column per node i."""
+    keys = np.array(module.weight_keys(), dtype=np.int64)
+    pairing = np.array(module.lam.coords) - keys @ np.array(module.gcm.entries).T
+    return pairing % 2
+
+
+def _oracle_trivial_on_truncation(parity: np.ndarray, subset) -> bool:
     """Diagonal oracle: every populated weight mu pairs evenly with the
-    subset's coroot sum (h_S acts by that global sign on the slice)."""
-    for k in module.weight_keys():
-        if sum(module.coroot_pairing(k, i) for i in subset) % 2:
-            return False
-    return True
+    subset's coroot sum (h_S acts by that global sign on the slice); parity
+    is the module's _parity_table."""
+    return not (parity[:, subset].sum(axis=1) % 2).any()
 
 
 def _matrix_trivial(module: TruncatedModule, subset, ident) -> bool | None:
@@ -262,10 +272,11 @@ def kernel_probe(module: TruncatedModule) -> dict:
     members = []
     not_separated = []
     ident = shared_identity(module)
+    parity = _parity_table(module)
     for mask in range(1 << n):
         subset = [i for i in range(n) if mask >> i & 1]
         crit = kernel_membership(gcm, lam, subset)
-        oracle = _oracle_trivial_on_truncation(module, subset)
+        oracle = _oracle_trivial_on_truncation(parity, subset)
         if crit:
             if not oracle:
                 raise OracleMismatch(

@@ -7,9 +7,11 @@ for the case named in GOLDEN.  The rank-4 depth-5 outputs (`module`,
 `verify` runs: rank-4 lambda=(1,1,1,1) at depth 6 and E10 lambda=1^10 at
 depth 3, where 18 of the 354 relation instances end window_empty (exit 4).
 The E10 depth-4 `module` is at lambda=omega_1, where 995 of the 1001 depth
-vectors have weight space 0.
+vectors have weight space 0.  The E10 lambda=1^10 depth-3 `kernel` runs the
+kernel probe over all 1,024 subsets of the nodes.
 The `word` cases in WORD_GOLDEN carry a scalar of 10^12, so their images
-reach 10^24 and pin the exact arbitrary-precision arithmetic.
+reach 10^24 and pin the exact arbitrary-precision arithmetic; the depth-5
+one also takes chi_+ and chi_- at the non-unit scalars 3, -7 and -10^12.
 A refactor or speed-up of any layer must leave all of them identical: the
 integers they hold are the Z-form bases, operator blocks, relation reports
 and kernel verdicts.
@@ -52,6 +54,7 @@ GOLDEN = [
     ("module", "e10", ",".join("1" + "0" * 9), 4, "json"),
     ("verify", "rank4", "1,1,1,1", 6, "sha256"),
     ("verify", "e10", ",".join("1" * 10), 3, "sha256"),
+    ("kernel", "e10", ",".join("1" * 10), 3, "json"),
 ]
 
 # exit code of the GOLDEN cases that do not exit EXIT_OK
@@ -82,6 +85,7 @@ def test_cli_output_matches_golden(capsys, tmp_path, command, diagram, lam, dept
 WORD_GOLDEN = [
     ("a2", "1,1", 4, "X1(1000000000000)"),
     ("rank4", "1,1,1,1", 4, "X1(1000000000000) Y2(-1000000000000) S3"),
+    ("rank4", "1,1,1,1", 5, "Y4(-1000000000000) X2(3) S1^-1 X3(-7)"),
 ]
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kmgroups import groupgen
 from kmgroups.cartan import e_gcm, path_gcm, triangle_with_pendant_gcm
 from kmgroups.groupgen import (
     GeneratorSymbol,
@@ -339,6 +340,88 @@ def test_product_switches_to_object_data_at_the_int64_bound():
     # a generator's own data switches when t^m times an entry reaches 2^62
     assert chi_plus(m, 0, 2**62 - 1).data.dtype == np.int64
     assert chi_plus(m, 0, 2**62).data.dtype == object
+
+
+def _entries(mat):
+    """{(row, column): entry} of the stored nonzeros of mat, after checking
+    that the keys column * n + row run strictly increasing."""
+    cols = np.repeat(np.arange(mat.module.n), np.diff(mat.indptr))
+    assert (np.diff(cols * mat.module.n + mat.indices) > 0).all()
+    return {(int(r), int(c)): v for r, c, v in zip(mat.indices, cols, mat.data)}
+
+
+def _reference_chi(mod, sign, i, t, flags):
+    """{(row, column): entry} of the identity plus t^m times every block of
+    e_i^(m) or f_i^(m), read column by column off the Z-form, on the
+    columns the flags mark exact."""
+    out = {}
+    for k in mod.weight_keys():
+        for c in range(mod.rank_at(k)):
+            j = mod.offset[k] + c
+            if not flags[j]:
+                continue
+            out[(j, j)] = 1
+            for m in range(1, mod.depth + 1):
+                tgt = k[:i] + (k[i] + (m if sign == "f" else -m),) + k[i + 1:]
+                if tgt not in mod.offset:
+                    continue
+                col = mod.operator_block(sign, i, m, k)[:, c]
+                for a, v in enumerate(col):
+                    if v * t**m:
+                        out[(mod.offset[tgt] + a, j)] = v * t**m
+    return out
+
+
+@pytest.mark.parametrize(
+    "gcm,lam,depth",
+    [(triangle_with_pendant_gcm(), (1, 1, 1, 1), 5), (e_gcm(10), (1,) * 10, 3),
+     (path_gcm(2), (1, 1), 0), (path_gcm(1), (4,), 4)],
+    ids=["rank4-d5", "e10-d3", "a2-d0", "a1-4-d4"],
+)
+def test_rescaled_generators_match_operator_blocks(gcm, lam, depth):
+    # chi(t) is chi(1) with each entry scaled by t^m, m its depth change.
+    # At depth 0 every column of chi_minus is inexact, so it stores nothing.
+    # On V^(4) of sl2 the largest operator entry is 6 (f^(2) f^(2) v =
+    # 6 f^(4) v) and the deepest drop 4 (f^(4) v), so at t = 2^15 the bound
+    # 6 * t^4 passes 2^62 while every entry stays at most 2^60: int64 data.
+    m = build_module(gcm, DominantWeight(lam), depth)
+    for i in range(gcm.rank):
+        for sign, make in (("e", chi_plus), ("f", chi_minus)):
+            flags = make(m, i, 1).flags
+            for t in (0, -1, 2, -7, 2**15, 10**12):
+                mat = make(m, i, t)
+                ref = _reference_chi(m, sign, i, t, flags)
+                assert np.array_equal(mat.flags, flags)
+                assert _entries(mat) == ref
+                top = max(map(abs, ref.values()), default=0)
+                assert mat.data.dtype == (np.int64 if top < 2**62 else object)
+        zero = chi_plus(m, i, 0)
+        assert _entries(zero) == _entries(WindowedMatrix.identity(m))
+        assert (zero.data != 0).all()
+    # a numpy integer scalar gives the same exact entries as a Python int
+    big = build_module(gcm, DominantWeight(lam), depth)
+    assert _entries(chi_minus(big, 0, np.int64(10**12))) == _entries(
+        chi_minus(m, 0, 10**12))
+    if depth == 0:
+        assert not chi_minus(m, 0, -7).flags.any()
+        assert len(chi_minus(m, 0, -7).data) == 0
+
+
+def test_product_runs_in_pieces(rank4, monkeypatch):
+    # with pieces of 5 partial products this product, which expands to 242
+    # on its exact columns, runs in dozens of pieces, and a column of the
+    # right factor that alone expands to more than 5 makes a piece of its own
+    left = evaluate_word(rank4, parse_word("X1(1) X2(2) X3(3)", rank=4))
+    right = evaluate_word(rank4, parse_word("X4(1) S1 X2(-1)", rank=4))
+    whole = left @ right
+    cols = np.repeat(np.arange(rank4.n), right.col_nnz)
+    per_col = np.bincount(cols, left.col_nnz[right.indices], rank4.n)[whole.flags]
+    assert per_col.sum() > 40 * 5 and per_col.max() > 5
+    assert 0 < whole.flags.sum() < rank4.n
+    monkeypatch.setattr(groupgen, "PIECE", 5)
+    pieces = _assert_matches_reference(left, right)
+    for name in ("indptr", "indices", "data", "flags"):
+        assert np.array_equal(getattr(pieces, name), getattr(whole, name))
 
 
 def test_generator_symbol_inverse():

@@ -2,11 +2,13 @@ from collections import Counter
 
 import pytest
 
-from kmgroups.cartan import path_gcm, triangle_with_pendant_gcm
+from kmgroups.cartan import e_gcm, gcm_from_edges, path_gcm, triangle_with_pendant_gcm
 from kmgroups.verifier import (
     RELATION_IDS,
     OracleMismatch,
     SignNone,
+    _oracle_trivial_on_truncation,
+    _parity_table,
     kernel_membership,
     kernel_probe,
     relation_instances,
@@ -175,3 +177,48 @@ def test_kernel_probe_subgroup_closure(a3):
     # order divides 2^rank
     assert 16 % res["subgroup_order"] == 0
 
+
+
+A3_AFFINE = gcm_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+# (diagram, lambda, depth, kernel_probe's members, generators, not_separated)
+KERNEL_CASES = {
+    "e10-d3": (e_gcm(10), (1,) * 10, 3, [[]], [], []),
+    "a3-affine-2000-d3": (
+        A3_AFFINE, (2, 0, 0, 0), 3,
+        [[], [0, 2], [1, 3], [0, 1, 2, 3]], [[0, 2], [1, 3]], [],
+    ),
+    "d4-d3": (
+        gcm_from_edges(4, [(0, 1), (0, 2), (0, 3)]), (1, 1, 1, 1), 3,
+        [[], [1, 2], [1, 3], [2, 3]], [[1, 2], [1, 3]], [],
+    ),
+    # the highest weight alone, pairing oddly with alpha_1^vee
+    "a2-10-d0": (path_gcm(2), (1, 0), 0, [[]], [], [[1]]),
+    # too shallow to separate four criterion-negative subsets
+    "a3-affine-2000-d1": (
+        A3_AFFINE, (2, 0, 0, 0), 1,
+        [[], [0, 2], [1, 3], [0, 1, 2, 3]], [[0, 2], [1, 3]],
+        [[0], [2], [0, 1, 3], [1, 2, 3]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_kernel_parity_table_matches_per_weight_rule(case):
+    gcm, lam, depth, members, generators, not_separated = KERNEL_CASES[case]
+    m = build_module(gcm, DominantWeight(lam), depth)
+    parity = _parity_table(m)
+    trivial = 0
+    for subset in map(sorted, _subsets(gcm.rank)):
+        expected = all(
+            sum(m.coroot_pairing(k, i) for i in subset) % 2 == 0
+            for k in m.weight_keys()
+        )
+        assert _oracle_trivial_on_truncation(parity, subset) == expected
+        trivial += expected
+    assert 0 < trivial < 2**gcm.rank
+    res = kernel_probe(m)
+    assert res["members"] == members
+    assert res["generators"] == generators
+    assert res["not_separated"] == not_separated
+    assert res["subgroup_order"] == len(members)
