@@ -57,6 +57,11 @@ EXIT_INVALID = 2
 EXIT_RELATION_FAILED = 3
 EXIT_WINDOW_EMPTY = 4
 EXIT_ORACLE_MISMATCH = 5
+EXIT_ON_ERROR = {  # what a command lets through, reported as {"error": ...}
+    SignNone: EXIT_RELATION_FAILED,  # raised by commutator-signs
+    WindowEmpty: EXIT_WINDOW_EMPTY,  # raised by commutator-signs
+    OracleMismatch: EXIT_ORACLE_MISMATCH,  # raised by the kernel probe
+}
 
 
 def _load_gcm(path: str, require_simply_laced: bool = False):
@@ -176,14 +181,7 @@ def cmd_commutator_signs(args) -> int:
     module = _build(args)
     gcm, signs = module.gcm, []
     for i, j in [(i, j) for i in range(gcm.rank) for j in gcm.neighbors(i)]:
-        try:
-            eps = resolve_commutator_sign(module, i, j)
-        except WindowEmpty as exc:
-            _emit({"error": f"WindowEmpty: {exc}"}, args.out)
-            return EXIT_WINDOW_EMPTY
-        except SignNone as exc:
-            _emit({"error": f"SignNone: {exc}"}, args.out)
-            return EXIT_RELATION_FAILED
+        eps = resolve_commutator_sign(module, i, j)
         signs.append({"pair": [i + 1, j + 1], "sign": eps})
     payload = report_head(module)
     payload["signs"] = signs
@@ -287,9 +285,9 @@ def main(argv=None) -> int:
     try:
         try:
             return args.func(args)
-        except OracleMismatch as exc:  # raised by the kernel probe
-            _emit({"error": f"OracleMismatch: {exc}"}, args.out)
-            return EXIT_ORACLE_MISMATCH
+        except tuple(EXIT_ON_ERROR) as exc:
+            _emit({"error": f"{type(exc).__name__}: {exc}"}, args.out)
+            return EXIT_ON_ERROR[type(exc)]
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

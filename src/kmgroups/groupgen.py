@@ -80,12 +80,9 @@ class GeneratorSymbol:
     arg: int = 1
 
     def inverse(self) -> "GeneratorSymbol":
-        if self.kind in ("X+", "X-"):
-            return GeneratorSymbol(self.kind, self.node, -self.arg)
-        if self.kind == "S":
-            return GeneratorSymbol("S", self.node, -self.arg)
-        # h(t)^-1 = h(t) for t = -1, identity for t = 1.
-        return self
+        if self.kind == "H":  # h(t)^-1 = h(t) for t = -1, identity for t = 1
+            return self
+        return GeneratorSymbol(self.kind, self.node, -self.arg)
 
 
 def _sum_sorted(key, vals):
@@ -356,7 +353,7 @@ def chi_minus(module: TruncatedModule, i: int, t: int) -> WindowedMatrix:
             return _scaled(chi_minus(module, i, 1), t)
         up = chi_plus(module, i, 1)
         r = module.depth_of - module.depth_of[up.indices[up.indptr[:-1]]]
-        p = module.lam.coords[i] - module.K @ np.array(module.gcm.entries[i])
+        p = module.pairing[module.slice_of, i]
         # int64 arithmetic: a deeper truncation flags what depth 2^62 does
         room = min(module.depth, INT64_LIMIT) - module.depth_of
         return _chi(module, "f", i, p + r <= room)

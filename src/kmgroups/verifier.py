@@ -1,8 +1,9 @@
 """Mechanical verification of the defining relations of G(Z).
 
-The twelve relation families (numbered R1-R12) are instantiated over the
-nodes / node pairs of the diagram and checked as matrix identities in the
-truncated representation: _compare checks two evaluated matrices on every
+The twelve relation families (numbered R1-R12) are stored as the text of
+`kmgroups word` words (RELATIONS), instantiated over the nodes / node
+pairs of the diagram and checked as matrix identities in the truncated
+representation: _compare checks two evaluated matrices on every
 mutually exact column within their joint validity window, and a failure's
 witness is the first column on which they differ.  R11 carries an unresolved
 structure-constant sign, found by comparing its commutator side, evaluated
@@ -11,7 +12,9 @@ once, with both candidates; it is None when both verify.
 The kernel probe decides which elements h_S = prod_{i in S} h_i(-1) of the
 finite diagonal subgroup act trivially, by a GF(2) parity criterion
 cross-checked against the matrices themselves and against a diagonal
-oracle that reads one parity table of the populated weights.
+oracle.  Criterion and oracle are one test (_even) on two integer tables:
+[lambda; A^T] for the criterion and the module's coroot pairings for the
+oracle.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ import numpy as np
 
 from .cartan import GeneralizedCartanMatrix, gcm_to_json
 from .groupgen import (
-    GeneratorSymbol,
     WindowEmpty,
     evaluate_word,
     h_element,
+    parse_word,
     shared_identity,
 )
 from .weightmod import DominantWeight, TruncatedModule
@@ -39,59 +42,37 @@ class OracleMismatch(RuntimeError):
     """Kernel parity criterion disagrees with the matrix oracle."""
 
 
-RELATION_IDS = [f"R{n}" for n in range(1, 13)]
-
-
-def _X(i, t=1):
-    return GeneratorSymbol("X+", i, t)
-
-
-def _S(i, e=1):
-    return GeneratorSymbol("S", i, e)
-
-
-def _inv(word):
-    return [sym.inverse() for sym in reversed(word)]
-
-
-def _comm(a, b):
-    return list(a) + list(b) + _inv(a) + _inv(b)
+# (lhs, rhs) of each relation family as `kmgroups word` text, with 1-based
+# nodes {i} and {j} and R11's structure-constant sign {sign}
+RELATIONS = {
+    "R1": ("S{i}^4", ""),
+    "R2": ("S{i}^2 X{i}(1) S{i}^-2 X{i}(-1)", ""),
+    "R3": ("S{i}", "X{i}(1) S{i} X{i}(1) S{i}^-1 X{i}(1)"),
+    "R4": ("S{i} S{j}", "S{j} S{i}"),
+    "R5": ("S{i} X{j}(1) S{i}^-1 X{j}(-1)", ""),
+    "R6": ("X{i}(1) X{j}(1) X{i}(-1) X{j}(-1)", ""),
+    "R7": ("S{i} S{j} S{i}", "S{j} S{i} S{j}"),
+    "R8": ("S{i}^2 S{j} S{i}^-2", "S{j}^-1"),
+    "R9": ("X{i}(1) S{j} S{i}", "S{j} S{i} X{j}(1)"),
+    "R10": ("S{i}^2 X{j}(1) S{i}^-2", "X{j}(-1)"),
+    "R11": ("X{i}(1) X{j}(1) X{i}(-1) X{j}(-1)", "S{i} X{j}({sign}) S{i}^-1"),
+    "R12": ("X{i}(1) S{i} X{j}(1) S{i}^-1 X{i}(-1) S{i} X{j}(-1) S{i}^-1", ""),
+}
+RELATION_IDS = list(RELATIONS)
 
 
 def relation_words(rid: str, nodes, sign: int = 1):
     """(lhs, rhs) words of a relation instance.
 
-    nodes is (i,) or (i, j); sign only affects R11.
+    nodes is (i,) for R1-R3 and (i, j) otherwise; sign only affects R11.
     """
-    if rid in ("R1", "R2", "R3"):
-        (i,) = nodes
-    else:
-        i, j = nodes
-    if rid == "R1":
-        return [_S(i)] * 4, []
-    if rid == "R2":
-        return _comm([_S(i), _S(i)], [_X(i)]), []
-    if rid == "R3":
-        return [_S(i)], [_X(i), _S(i), _X(i), _S(i, -1), _X(i)]
-    if rid == "R4":
-        return [_S(i), _S(j)], [_S(j), _S(i)]
-    if rid == "R5":
-        return _comm([_S(i)], [_X(j)]), []
-    if rid == "R6":
-        return _comm([_X(i)], [_X(j)]), []
-    if rid == "R7":
-        return [_S(i), _S(j), _S(i)], [_S(j), _S(i), _S(j)]
-    if rid == "R8":
-        return [_S(i), _S(i), _S(j), _S(i, -1), _S(i, -1)], [_S(j, -1)]
-    if rid == "R9":
-        return [_X(i), _S(j), _S(i)], [_S(j), _S(i), _X(j)]
-    if rid == "R10":
-        return [_S(i), _S(i), _X(j), _S(i, -1), _S(i, -1)], [_X(j, -1)]
-    if rid == "R11":
-        return _comm([_X(i)], [_X(j)]), [_S(i), _X(j, sign), _S(i, -1)]
-    if rid == "R12":
-        return _comm([_X(i)], [_S(i), _X(j), _S(i, -1)]), []
-    raise ValueError(f"unknown relation id {rid!r}")
+    if rid not in RELATIONS:
+        raise ValueError(f"unknown relation id {rid!r}")
+    texts = RELATIONS[rid]
+    if len(nodes) != (2 if "{j}" in "".join(texts) else 1):
+        raise ValueError(f"wrong number of nodes {tuple(nodes)} for {rid}")
+    labels = {"i": nodes[0] + 1, "j": nodes[-1] + 1, "sign": sign}
+    return tuple(parse_word(t.format(**labels), max(nodes) + 1) for t in texts)
 
 
 def relation_instances(gcm: GeneralizedCartanMatrix):
@@ -173,11 +154,12 @@ def _compare_signs(module: TruncatedModule, rid: str, nodes, min_window: int):
     instance, for the signs 1 and -1 of R11 and for 1 alone otherwise; the
     left word does not depend on the sign and is evaluated once.  Raises
     WindowEmpty if a joint window is below min_window."""
-    lhs = evaluate_word(module, relation_words(rid, nodes)[0])
+    signs = (1, -1) if rid == "R11" else (1,)
+    words = {sign: relation_words(rid, nodes, sign) for sign in signs}
+    lhs = evaluate_word(module, words[1][0])
     outcomes = {}
-    for sign in (1, -1) if rid == "R11" else (1,):
-        rhs = evaluate_word(module, relation_words(rid, nodes, sign)[1])
-        outcomes[sign] = _compare(lhs, rhs, min_window)
+    for sign, (_, rhs) in words.items():
+        outcomes[sign] = _compare(lhs, evaluate_word(module, rhs), min_window)
     return outcomes, [sign for sign, out in outcomes.items() if out[0]]
 
 
@@ -211,6 +193,16 @@ def resolve_commutator_sign(module: TruncatedModule, i: int, j: int) -> int | No
 # Kernel probe
 
 
+def _even(table: np.ndarray, subset) -> bool:
+    """Does every row of the integer table sum to an even number over subset?"""
+    return not (table[:, subset].sum(axis=1) % 2).any()
+
+
+def _criterion_table(gcm: GeneralizedCartanMatrix, lam) -> np.ndarray:
+    """[lambda; A^T]: a row for lambda and a row a_.j per node j."""
+    return np.vstack([lam.coords, np.array(gcm.entries, dtype=np.int64).T])
+
+
 def kernel_membership(gcm: GeneralizedCartanMatrix, lam, subset) -> bool:
     """Does h_S = prod_{i in S} h_i(-1) act trivially on V^lambda, lambda a
     DominantWeight?
@@ -222,27 +214,7 @@ def kernel_membership(gcm: GeneralizedCartanMatrix, lam, subset) -> bool:
     subset = sorted(set(subset))
     if any(not 0 <= i < gcm.rank for i in subset):
         raise ValueError("subset contains an invalid node")
-    if sum(lam.coords[i] for i in subset) % 2:
-        return False
-    return all(
-        sum(gcm.a(i, j) for i in subset) % 2 == 0 for j in range(gcm.rank)
-    )
-
-
-def _parity_table(module: TruncatedModule) -> np.ndarray:
-    """<mu, alpha_i^vee> mod 2 as an integer table, one row per populated
-    weight mu = lambda - sum_j k_j alpha_j (weight_keys() order), one
-    column per node i."""
-    keys = np.array(module.weight_keys(), dtype=np.int64)
-    pairing = np.array(module.lam.coords) - keys @ np.array(module.gcm.entries).T
-    return pairing % 2
-
-
-def _oracle_trivial_on_truncation(parity: np.ndarray, subset) -> bool:
-    """Diagonal oracle: every populated weight mu pairs evenly with the
-    subset's coroot sum (h_S acts by that global sign on the slice); parity
-    is the module's _parity_table."""
-    return not (parity[:, subset].sum(axis=1) % 2).any()
+    return _even(_criterion_table(gcm, lam), subset)
 
 
 def _matrix_trivial(module: TruncatedModule, subset, ident) -> bool | None:
@@ -269,14 +241,14 @@ def kernel_probe(module: TruncatedModule) -> dict:
     """
     gcm, lam = module.gcm, module.lam
     n = gcm.rank
-    members = []
-    not_separated = []
+    members, not_separated = [], []
     ident = shared_identity(module)
-    parity = _parity_table(module)
+    criterion = _criterion_table(gcm, lam)
     for mask in range(1 << n):
         subset = [i for i in range(n) if mask >> i & 1]
-        crit = kernel_membership(gcm, lam, subset)
-        oracle = _oracle_trivial_on_truncation(parity, subset)
+        crit = _even(criterion, subset)
+        # diagonal oracle: h_S acts on each slice by (-1)^(its pairing sum)
+        oracle = _even(module.pairing, subset)
         if crit:
             if not oracle:
                 raise OracleMismatch(
@@ -291,16 +263,15 @@ def kernel_probe(module: TruncatedModule) -> dict:
         elif oracle:
             not_separated.append(subset)
     # Members form a GF(2)-subspace; report a minimal generating set.
-    generators = _gf2_generators(members, n)
     return {
         "subgroup_order": len(members),
         "members": members,
-        "generators": generators,
+        "generators": _gf2_generators(members),
         "not_separated": not_separated,
     }
 
 
-def _gf2_generators(members, n):
+def _gf2_generators(members):
     basis = []
     span = {0}
     for subset in sorted(members, key=len):

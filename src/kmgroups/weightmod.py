@@ -99,16 +99,17 @@ class TruncatedModule:
     """The nonzero weight slices of V^lambda with depth <= depth, over Z,
     in (depth, lex) order; a depth vector in range with no slice has weight
     space 0.  build_module numbers their basis vectors globally (keys to
-    depth_of below); generators caches the group elements over that basis
+    pairing below); generators caches the group elements over that basis
     and their shared identity (see groupgen)."""
 
     keys: list[tuple[int, ...]]  # weight_keys()
     offset: dict[tuple[int, ...], int]  # index of each slice's first vector
     n: int  # total rank
-    # per basis vector: its slice (an index into keys), depth vector, depth
+    # per basis vector: its slice (an index into keys) and its depth
     slice_of: np.ndarray
-    K: np.ndarray
     depth_of: np.ndarray
+    # pairing[s, i] = <mu, alpha_i^vee> for the weight mu of slice s
+    pairing: np.ndarray
 
     def __init__(self, gcm: GeneralizedCartanMatrix, lam: DominantWeight, depth: int):
         self.gcm = gcm
@@ -122,7 +123,7 @@ class TruncatedModule:
     # -- weights ----------------------------------------------------------
 
     def weight_keys(self) -> list[tuple[int, ...]]:
-        """All depth vectors with a non-trivial weight space, sorted."""
+        """All depth vectors with a nonzero weight space, in (depth, lex) order."""
         return self.keys
 
     def _in_range(self, depth_vector) -> tuple[int, ...]:
@@ -185,6 +186,8 @@ def build_module(
         raise NotSimplyLaced("module construction requires a simply-laced GCM")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if len(lam.coords) != gcm.rank:
+        raise ValueError(f"lambda has {len(lam.coords)} coordinates, rank {gcm.rank}")
     mod = TruncatedModule(gcm, lam, depth)
     total = 0
     layer = [(0,) * gcm.rank]
@@ -209,8 +212,9 @@ def build_module(
     starts = np.cumsum([0] + ranks).tolist()
     mod.offset, mod.n = dict(zip(mod.keys, starts)), starts[-1]
     mod.slice_of = np.repeat(np.arange(len(ranks)), ranks)
-    mod.K = np.array(mod.keys, dtype=np.int64)[mod.slice_of]
-    mod.depth_of = mod.K.sum(1)
+    keys = np.array(mod.keys, dtype=np.int64)
+    mod.depth_of = keys.sum(1)[mod.slice_of]
+    mod.pairing = np.array(lam.coords) - keys @ np.array(gcm.entries).T
     return mod
 
 

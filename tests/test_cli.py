@@ -17,6 +17,7 @@ from kmgroups.cli import (
     EXIT_WINDOW_EMPTY,
     main,
 )
+from kmgroups.groupgen import GeneratorSymbol
 from kmgroups.verifier import OracleMismatch, SignNone
 
 A2 = {"matrix": [[2, -1], [-1, 2]]}
@@ -267,7 +268,7 @@ def test_verify_failure_exit(capsys, a2_file, monkeypatch):
     def sabotage(rid, nodes, sign=1):
         lhs, rhs = real(rid, nodes, sign=sign)
         if rid == "R2":
-            return lhs + [verifier._X(nodes[0])], rhs
+            return lhs + [GeneratorSymbol("X+", nodes[0], 1)], rhs
         return lhs, rhs
 
     monkeypatch.setattr(verifier, "relation_words", sabotage)

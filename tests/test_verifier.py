@@ -3,12 +3,11 @@ from collections import Counter
 import pytest
 
 from kmgroups.cartan import e_gcm, gcm_from_edges, path_gcm, triangle_with_pendant_gcm
+from kmgroups.groupgen import GeneratorSymbol
 from kmgroups.verifier import (
     RELATION_IDS,
     OracleMismatch,
     SignNone,
-    _oracle_trivial_on_truncation,
-    _parity_table,
     kernel_membership,
     kernel_probe,
     relation_instances,
@@ -48,6 +47,66 @@ def test_relation_words_shapes():
     assert rhs[1].arg == -1
     with pytest.raises(ValueError):
         relation_words("R13", (0, 1))
+
+
+# The relation words as symbol lists, the way they were written before they
+# became `kmgroups word` text: a reference independent of parse_word.
+
+
+def _X(i, t=1):
+    return GeneratorSymbol("X+", i, t)
+
+
+def _S(i, e=1):
+    return GeneratorSymbol("S", i, e)
+
+
+def _inv(word):
+    return [sym.inverse() for sym in reversed(word)]
+
+
+def _comm(a, b):
+    return list(a) + list(b) + _inv(a) + _inv(b)
+
+
+def _reference_words(rid, nodes, sign):
+    i, j = nodes[0], nodes[-1]
+    return {
+        "R1": ([_S(i)] * 4, []),
+        "R2": (_comm([_S(i), _S(i)], [_X(i)]), []),
+        "R3": ([_S(i)], [_X(i), _S(i), _X(i), _S(i, -1), _X(i)]),
+        "R4": ([_S(i), _S(j)], [_S(j), _S(i)]),
+        "R5": (_comm([_S(i)], [_X(j)]), []),
+        "R6": (_comm([_X(i)], [_X(j)]), []),
+        "R7": ([_S(i), _S(j), _S(i)], [_S(j), _S(i), _S(j)]),
+        "R8": ([_S(i), _S(i), _S(j), _S(i, -1), _S(i, -1)], [_S(j, -1)]),
+        "R9": ([_X(i), _S(j), _S(i)], [_S(j), _S(i), _X(j)]),
+        "R10": ([_S(i), _S(i), _X(j), _S(i, -1), _S(i, -1)], [_X(j, -1)]),
+        "R11": (_comm([_X(i)], [_X(j)]), [_S(i), _X(j, sign), _S(i, -1)]),
+        "R12": (_comm([_X(i)], [_S(i), _X(j), _S(i, -1)]), []),
+    }[rid]
+
+
+@pytest.mark.parametrize(
+    "gcm", [triangle_with_pendant_gcm(), e_gcm(10)], ids=["rank4", "e10"]
+)
+def test_relation_words_match_reference(gcm):
+    instances = list(relation_instances(gcm))
+    assert {rid for rid, _ in instances} == set(RELATION_IDS)
+    for rid, nodes in instances:
+        for sign in (1, -1):
+            want = _reference_words(rid, nodes, sign)
+            assert relation_words(rid, nodes, sign) == tuple(want), (rid, nodes)
+
+
+@pytest.mark.parametrize(
+    "rid,nodes",
+    [("R0", (0,)), ("r1", (0,)), ("R1", (0, 1)), ("R3", ()), ("R4", (0,)),
+     ("R11", (0, 1, 2))],
+)
+def test_relation_words_reject_bad_instances(rid, nodes):
+    with pytest.raises(ValueError):
+        relation_words(rid, nodes)
 
 
 def test_a2_full_suite_verifies(a2):
@@ -99,7 +158,7 @@ def test_window_empty_status():
 
 def test_failure_produces_witness(a2):
     # a deliberately false identity: S_i = X_i
-    from kmgroups.verifier import _compare, _S, _X, evaluate_word
+    from kmgroups.verifier import _compare, evaluate_word
 
     lhs, rhs = evaluate_word(a2, [_S(0)]), evaluate_word(a2, [_X(0)])
     equal, window, compared, witness = _compare(lhs, rhs, 0)
@@ -207,17 +266,20 @@ KERNEL_CASES = {
 def test_kernel_parity_table_matches_per_weight_rule(case):
     gcm, lam, depth, members, generators, not_separated = KERNEL_CASES[case]
     m = build_module(gcm, DominantWeight(lam), depth)
-    parity = _parity_table(m)
-    trivial = 0
-    for subset in map(sorted, _subsets(gcm.rank)):
-        expected = all(
+    # the per-weight rule: h_S acts trivially on the truncation iff every
+    # populated weight pairs evenly with sum_{i in S} alpha_i^vee
+    trivial = [
+        subset
+        for subset in map(sorted, _subsets(gcm.rank))
+        if all(
             sum(m.coroot_pairing(k, i) for i in subset) % 2 == 0
             for k in m.weight_keys()
         )
-        assert _oracle_trivial_on_truncation(parity, subset) == expected
-        trivial += expected
-    assert 0 < trivial < 2**gcm.rank
+    ]
+    assert 0 < len(trivial) < 2**gcm.rank
     res = kernel_probe(m)
+    # the probe's oracle-trivial subsets are its members and the rest
+    assert sorted(res["members"] + res["not_separated"]) == sorted(trivial)
     assert res["members"] == members
     assert res["generators"] == generators
     assert res["not_separated"] == not_separated

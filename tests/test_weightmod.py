@@ -42,6 +42,14 @@ def test_requires_simply_laced():
         build_module(b2, DominantWeight((1, 1)), 2)
 
 
+@pytest.mark.parametrize("lam", [(1, 1), (1, 1, 1, 1, 1)])
+def test_lambda_length_must_match_rank(lam):
+    # a short lambda used to fail deep in the build with IndexError, a long
+    # one to build a module that ignores the extra coordinates
+    with pytest.raises(ValueError, match="coordinates"):
+        build_module(triangle_with_pendant_gcm(), DominantWeight(lam), 2)
+
+
 def test_depth_overflow():
     with pytest.raises(DepthOverflow):
         build_module(path_gcm(2), DominantWeight((1, 1)), 4, max_basis=3)
@@ -420,7 +428,11 @@ def test_global_basis_numbering(gcm, lam, depth):
         assert m.offset[k] == start
         rows = slice(start, start + m.rank_at(k))
         assert (m.slice_of[rows] == s).all()
-        assert (m.K[rows] == k).all() and (m.depth_of[rows] == sum(k)).all()
+        assert (m.depth_of[rows] == sum(k)).all()
+        assert m.pairing[s].tolist() == [
+            m.coroot_pairing(k, i) for i in range(gcm.rank)
+        ]
         start += m.rank_at(k)
     assert m.n == start == m.total_rank() == len(m.depth_of)
+    assert m.pairing.shape == (len(m.keys), gcm.rank)
     assert (np.diff(m.depth_of) >= 0).all()
