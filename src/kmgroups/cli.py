@@ -2,6 +2,9 @@
 
 Commands: classify, roots, module, verify, kernel, commutator-signs, word.
 All output is deterministic JSON (fixed key order, sorted collections).
+Relation nodes, commutator-sign pairs and word letters number the nodes
+from 1; the kernel subsets (members, generators, not_separated) are lists
+of 0-based nodes.
 
 Exit codes:
   0  success
@@ -43,13 +46,7 @@ from .verifier import (
     resolve_commutator_sign,
     verify_all,
 )
-from .weightmod import (
-    DepthOverflow,
-    DominantWeight,
-    NonDominantWeight,
-    build_module,
-    module_to_json,
-)
+from .weightmod import DepthOverflow, DominantWeight, build_module, module_to_json
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -78,21 +75,6 @@ def _load_gcm(path: str, require_simply_laced: bool = False):
         raise _CliError(EXIT_INVALID, f"{type(exc).__name__}: {exc}")
 
 
-def _parse_lambda(text: str, rank: int) -> DominantWeight:
-    try:
-        coords = tuple(int(c) for c in text.split(","))
-    except ValueError:
-        raise _CliError(EXIT_INVALID, f"bad lambda {text!r}")
-    if len(coords) != rank:
-        raise _CliError(
-            EXIT_INVALID, f"lambda has {len(coords)} coordinates, rank is {rank}"
-        )
-    try:
-        return DominantWeight(coords)
-    except NonDominantWeight as exc:
-        raise _CliError(EXIT_INVALID, f"NonDominantWeight: {exc}")
-
-
 class _CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
@@ -113,16 +95,18 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 def _build(args):
     gcm = _load_gcm(args.gcm, require_simply_laced=True)
-    lam = _parse_lambda(args.lam, gcm.rank)
     try:
+        coords = [int(c) for c in args.lam.split(",")]
+    except ValueError:
+        raise _CliError(EXIT_INVALID, f"bad lambda {args.lam!r}")
+    try:  # dominance, length, depth and the basis cap
+        lam = DominantWeight(coords)
         return build_module(gcm, lam, args.depth, max_basis=args.max_basis)
-    except DepthOverflow as exc:
-        raise _CliError(EXIT_INVALID, f"DepthOverflow: {exc}")
-    except ValueError as exc:  # a negative depth
-        raise _CliError(EXIT_INVALID, f"ValueError: {exc}")
+    except (DepthOverflow, ValueError) as exc:
+        raise _CliError(EXIT_INVALID, f"{type(exc).__name__}: {exc}")
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[dict, int]:
     gcm = _load_gcm(args.gcm)
     try:
         kind = classify(gcm)  # NotGCM if no symmetrizer exists
@@ -134,11 +118,10 @@ def cmd_classify(args) -> int:
         "simply_laced": gcm.simply_laced,
         "hyperbolic": hyperbolic,
     }
-    _emit(payload, args.out)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_roots(args) -> int:
+def cmd_roots(args) -> tuple[dict, int]:
     gcm = _load_gcm(args.gcm, require_simply_laced=True)
     if args.height < 1:
         raise _CliError(EXIT_INVALID, "height bound must be >= 1")
@@ -150,34 +133,31 @@ def cmd_roots(args) -> int:
         "count": len(rset),
         "positive_roots": [list(r.coeffs) for r in positives],
     }
-    _emit(payload, args.out)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_module(args) -> int:
-    _emit(module_to_json(_build(args)), args.out)
-    return EXIT_OK
+def cmd_module(args) -> tuple[dict, int]:
+    return module_to_json(_build(args)), EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, int]:
     report = verify_all(_build(args), min_window=args.min_window)
-    _emit(report.to_json(), args.out)
+    code = EXIT_OK
     if any(r.status == "failed" for r in report.results):
-        return EXIT_RELATION_FAILED
-    if report.any_window_empty:
-        return EXIT_WINDOW_EMPTY
-    return EXIT_OK
+        code = EXIT_RELATION_FAILED
+    elif report.any_window_empty:
+        code = EXIT_WINDOW_EMPTY
+    return report.to_json(), code
 
 
-def cmd_kernel(args) -> int:
+def cmd_kernel(args) -> tuple[dict, int]:
     module = _build(args)
     payload = report_head(module)
     payload["kernel"] = kernel_probe(module)
-    _emit(payload, args.out)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_commutator_signs(args) -> int:
+def cmd_commutator_signs(args) -> tuple[dict, int]:
     module = _build(args)
     gcm, signs = module.gcm, []
     for i, j in [(i, j) for i in range(gcm.rank) for j in gcm.neighbors(i)]:
@@ -185,11 +165,10 @@ def cmd_commutator_signs(args) -> int:
         signs.append({"pair": [i + 1, j + 1], "sign": eps})
     payload = report_head(module)
     payload["signs"] = signs
-    _emit(payload, args.out)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_word(args) -> int:
+def cmd_word(args) -> tuple[dict, int]:
     module = _build(args)
     try:
         symbols = parse_word(args.word, module.gcm.rank)
@@ -208,8 +187,7 @@ def cmd_word(args) -> int:
     ]
     payload = report_head(module)
     payload.update(word=args.word, window=window, columns=columns)
-    _emit(payload, args.out)
-    return EXIT_WINDOW_EMPTY if window < 0 else EXIT_OK
+    return payload, EXIT_WINDOW_EMPTY if window < 0 else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,76 +196,62 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations in simply-laced hyperbolic "
         "Kac-Moody groups over Z",
     )
+    # the options every command shares (io), and those of the commands
+    # that build a module (build)
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--gcm", required=True, help="path to GCM JSON file")
+    io.add_argument("--out", default=None, help="output JSON path (default stdout)")
+    build = argparse.ArgumentParser(add_help=False, parents=[io])
+    build.add_argument(
+        "--lambda",
+        dest="lam",
+        required=True,
+        help='dominant weight coordinates, e.g. "1,1,1,1"',
+    )
+    build.add_argument("--depth", type=int, required=True)
+    build.add_argument(
+        "--max-basis",
+        type=int,
+        default=None,
+        help="cap on total basis vectors (DepthOverflow beyond)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, needs_lambda=False):
-        p.add_argument("--gcm", required=True, help="path to GCM JSON file")
-        p.add_argument("--out", default=None, help="output JSON path (default stdout)")
-        if needs_lambda:
-            p.add_argument(
-                "--lambda",
-                dest="lam",
-                required=True,
-                help='dominant weight coordinates, e.g. "1,1,1,1"',
-            )
-            p.add_argument("--depth", type=int, required=True)
-            p.add_argument(
-                "--max-basis",
-                type=int,
-                default=None,
-                help="cap on total basis vectors (DepthOverflow beyond)",
-            )
-
-    p = sub.add_parser("classify", help="diagram type / simply-laced / hyperbolic")
-    add_common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("roots", help="enumerate real roots up to a height bound")
-    add_common(p)
-    p.add_argument("--height", type=int, required=True)
-    p.set_defaults(func=cmd_roots)
-
-    p = sub.add_parser("module", help="build a depth-truncated Z-form")
-    add_common(p, needs_lambda=True)
-    p.set_defaults(func=cmd_module)
-
-    p = sub.add_parser("verify", help="verify the relations R1-R12")
-    add_common(p, needs_lambda=True)
-    p.add_argument(
+    commands = {}
+    for name, func, parent, text in [
+        ("classify", cmd_classify, io, "diagram type / simply-laced / hyperbolic"),
+        ("roots", cmd_roots, io, "enumerate real roots up to a height bound"),
+        ("module", cmd_module, build, "build a depth-truncated Z-form"),
+        ("verify", cmd_verify, build, "verify the relations R1-R12"),
+        ("kernel", cmd_kernel, build, "probe the kernel intersection with H(Z)"),
+        ("commutator-signs", cmd_commutator_signs, build,
+         "resolve structure-constant signs per adjacent pair"),
+        ("word", cmd_word, build, "evaluate a generator word on the module"),
+    ]:
+        commands[name] = sub.add_parser(name, parents=[parent], help=text)
+        commands[name].set_defaults(func=func)
+    commands["roots"].add_argument("--height", type=int, required=True)
+    commands["verify"].add_argument(
         "--min-window",
         type=int,
         default=0,
         help="minimum joint validity window required per instance",
     )
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("kernel", help="probe the kernel intersection with H(Z)")
-    add_common(p, needs_lambda=True)
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser(
-        "commutator-signs", help="resolve structure-constant signs per adjacent pair"
+    commands["word"].add_argument(
+        "--word", required=True, help='e.g. "X1(1) S2 S1^-1 Y3(-2)"'
     )
-    add_common(p, needs_lambda=True)
-    p.set_defaults(func=cmd_commutator_signs)
-
-    p = sub.add_parser("word", help="evaluate a generator word on the module")
-    add_common(p, needs_lambda=True)
-    p.add_argument("--word", required=True, help='e.g. "X1(1) S2 S1^-1 Y3(-2)"')
-    p.set_defaults(func=cmd_word)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         try:
-            return args.func(args)
+            payload, code = args.func(args)
         except tuple(EXIT_ON_ERROR) as exc:
-            _emit({"error": f"{type(exc).__name__}: {exc}"}, args.out)
-            return EXIT_ON_ERROR[type(exc)]
+            payload = {"error": f"{type(exc).__name__}: {exc}"}
+            code = EXIT_ON_ERROR[type(exc)]
+        _emit(payload, args.out)
+        return code
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -19,7 +19,7 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -104,20 +104,11 @@ class RelationResult:
     witness: dict | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "id": self.id,
-            "nodes": [n + 1 for n in self.nodes],
-            "status": self.status,
-        }
-        if self.window is not None:
-            out["window"] = self.window
-        if self.columns is not None:
-            out["columns"] = self.columns
-        if self.sign is not None:
-            out["sign"] = self.sign
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
+        """The fields in declaration order, without the None ones, and the
+        nodes 1-based."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["nodes"] = [n + 1 for n in self.nodes]
+        return {k: v for k, v in out.items() if v is not None}
 
 
 def _compare(lhs, rhs, min_window):

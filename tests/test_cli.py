@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -143,20 +144,30 @@ def test_module_command(capsys, a2_file):
     assert sum(w["rank"] for w in payload["weights"]) == 8
 
 
+def _bad_lambda(capsys, a2_file, lam):
+    """(exit code, stderr) of `module` on A2 with the given lambda text."""
+    code = main(["module", "--gcm", a2_file, "--lambda", lam, "--depth", "3"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
 def test_module_non_dominant_lambda(capsys, a2_file):
-    code, _ = run(
-        capsys,
-        ["module", "--gcm", a2_file, "--lambda", "1,-1", "--depth", "3"],
+    assert _bad_lambda(capsys, a2_file, "1,-1") == (
+        EXIT_INVALID, "error: NonDominantWeight: negative coordinate in (1, -1)\n"
     )
-    assert code == EXIT_INVALID
+
+
+def test_module_lambda_not_integers(capsys, a2_file):
+    assert _bad_lambda(capsys, a2_file, "x,1") == (
+        EXIT_INVALID, "error: bad lambda 'x,1'\n"
+    )
 
 
 def test_module_wrong_lambda_length(capsys, a2_file):
-    code, _ = run(
-        capsys,
-        ["module", "--gcm", a2_file, "--lambda", "1", "--depth", "3"],
+    assert _bad_lambda(capsys, a2_file, "1") == (
+        EXIT_INVALID, "error: ValueError: lambda has 1 coordinates, rank 2\n"
     )
-    assert code == EXIT_INVALID
 
 
 def test_module_max_basis_overflow(capsys, a2_file):
@@ -423,3 +434,50 @@ def test_out_file_unwritable(capsys, a2_file, tmp_path):
         ],
     )
     assert code == EXIT_IO
+
+
+# Each subcommand's options in declaration order, as (option strings, required).
+IO_OPTIONS = [(("-h", "--help"), False), (("--gcm",), True), (("--out",), False)]
+MODULE_OPTIONS = IO_OPTIONS + [
+    (("--lambda",), True), (("--depth",), True), (("--max-basis",), False),
+]
+OPTIONS = {
+    "classify": IO_OPTIONS,
+    "roots": IO_OPTIONS + [(("--height",), True)],
+    "module": MODULE_OPTIONS,
+    "verify": MODULE_OPTIONS + [(("--min-window",), False)],
+    "kernel": MODULE_OPTIONS,
+    "commutator-signs": MODULE_OPTIONS,
+    "word": MODULE_OPTIONS + [(("--word",), True)],
+}
+
+
+def test_subcommand_options_are_pinned():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: [(tuple(a.option_strings), a.required) for a in p._actions]
+        for name, p in sub.choices.items()
+    }
+    assert got == OPTIONS
+
+
+def test_module_builds_through_the_module_level_build_module(
+    capsys, a2_file, monkeypatch
+):
+    # perfbench times every build by replacing cli.build_module, so the
+    # commands must look it up when they call it
+    built = []
+    real = cli.build_module
+
+    def spy(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_module", spy)
+    code, out = run(
+        capsys, ["module", "--gcm", a2_file, "--lambda", "1,1", "--depth", "4"]
+    )
+    assert code == EXIT_OK
+    assert len(built) == 1
+    assert json.loads(out) == cli.module_to_json(built[0])

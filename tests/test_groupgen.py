@@ -323,6 +323,47 @@ def test_inexact_columns_are_stored_empty(gcm, lam, depth):
     assert inexact > len(words) // 2
 
 
+@pytest.mark.parametrize(
+    "gcm,lam,depth,n_words,n_exact",
+    [
+        (triangle_with_pendant_gcm(), (1, 1, 1, 1), 5, 109, 8362),
+        (e_gcm(10), (1,) * 10, 3, 439, 49992),
+    ],
+    ids=["rank4-d5", "e10-d3"],
+)
+def test_exact_columns_survive_one_more_layer(gcm, lam, depth, n_words, n_exact):
+    # A slice, its basis and its operator blocks depend only on the depth
+    # vector, so the module at depth d is the start of the one at d + 1 and
+    # shares its global basis numbering.  A column the product rule flags
+    # exact at d is an exact image: it must be exact at d + 1 too, with the
+    # same rows and entries, for every word of every relation instance.
+    lo, hi = (build_module(gcm, DominantWeight(lam), d) for d in (depth, depth + 1))
+    assert hi.keys[: len(lo.keys)] == lo.keys
+    assert [hi.rank_at(k) for k in lo.keys] == [lo.rank_at(k) for k in lo.keys]
+    words = {
+        tuple(word)
+        for rid, nodes in relation_instances(gcm)
+        for sign in ((1, -1) if rid == "R11" else (1,))
+        for word in relation_words(rid, nodes, sign)
+    }
+    assert len(words) == n_words
+    exact, bad = 0, []
+    for word in words:
+        a, b = evaluate_word(lo, word), evaluate_word(hi, word)
+        for j in np.flatnonzero(a.flags).tolist():
+            exact += 1
+            rows = slice(a.indptr[j], a.indptr[j + 1])
+            same = slice(b.indptr[j], b.indptr[j + 1])
+            if not (
+                b.flags[j]
+                and np.array_equal(a.indices[rows], b.indices[same])
+                and np.array_equal(a.data[rows], b.data[same])
+            ):
+                bad.append((word, j))
+    assert not bad, f"{len(bad)} exact columns change at depth {depth + 1}"
+    assert exact == n_exact  # the check is not idle
+
+
 def test_product_switches_to_object_data_at_the_int64_bound():
     # sl2, V^(1) at depth 1, basis (v, f v): chi_plus(t) = [[1, t], [0, 1]]
     # and chi_minus(u) = [[1, 0], [u, 1]].  The first column of chi_minus(u)
