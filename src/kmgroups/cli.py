@@ -176,15 +176,12 @@ def cmd_word(args) -> tuple[dict, int]:
         raise _CliError(EXIT_INVALID, f"{type(exc).__name__}: {exc}")
     mat = evaluate_word(module, symbols)
     window = mat.valid_depth()
-    columns = [
-        {
-            "source": {"depth_vector": list(k), "index": c},
-            "image": column_json(mat.column(k, c)),
-        }
-        for k, flags in mat.exact.items()
-        for c, ok in enumerate(flags)
-        if ok
-    ]
+    columns = []
+    for j in mat.flags.nonzero()[0].tolist():  # the exact columns
+        k = module.keys[module.slice_of[j]]
+        c = j - module.offset[k]
+        source = {"depth_vector": list(k), "index": c}
+        columns.append({"source": source, "image": column_json(mat.column(k, c))})
     payload = report_head(module)
     payload.update(word=args.word, window=window, columns=columns)
     return payload, EXIT_WINDOW_EMPTY if window < 0 else EXIT_OK

@@ -36,8 +36,9 @@ data is object when one of its stored entries, t^m times an operator
 entry, reaches 2^62.
 
 The "window" of a matrix is the largest depth d such that all columns of
-depth <= d are exact; equality of two group elements is only asserted on
-the intersection of their windows.
+depth <= d are exact.  Two group elements are compared on their mutually
+exact columns by one test, first_difference, which decides equality
+(equal_on_window) and names the witness column of a failed relation.
 """
 
 from __future__ import annotations
@@ -119,6 +120,11 @@ class WindowedMatrix:
     def max_col_nnz(self) -> int:
         return int(self.col_nnz.max())
 
+    @property
+    def cols(self):
+        """The column of each stored entry, aligned with indices and data."""
+        return np.arange(self.module.n).repeat(self.col_nnz)
+
     @classmethod
     def identity(cls, module: TruncatedModule) -> "WindowedMatrix":
         """A new identity; module.generators keeps one shared identity."""
@@ -129,9 +135,9 @@ class WindowedMatrix:
     def blocks(self) -> dict:
         """Read-only view: {(target, source): dense object block} of the
         nonzero blocks over the weight slices; an inexact column reads as
-        empty."""
+        empty.  Only the benchmark's tracer and the tests read it."""
         mod = self.module
-        cols = np.repeat(np.arange(mod.n), self.col_nnz)
+        cols = self.cols
         tgt, src = mod.slice_of[self.indices], mod.slice_of[cols]
         pair = tgt * len(mod.keys) + src
         order = np.argsort(pair, kind="stable")
@@ -149,7 +155,8 @@ class WindowedMatrix:
 
     @cached_property
     def exact(self) -> dict:
-        """Read-only view: {depth vector: [flag per column]} over every slice."""
+        """Read-only view: {depth vector: [flag per column]} over every slice;
+        only the benchmark's tracer and the tests read it."""
         mod = self.module
         return {
             k: self.flags[mod.offset[k]:mod.offset[k] + mod.rank_at(k)].tolist()
@@ -158,7 +165,7 @@ class WindowedMatrix:
 
     def column(self, src, c) -> dict:
         """Nonzero entries of column c of source slice src, keyed by target in
-        weight_keys() order: {target: tuple over the target slice's basis};
+        keys order: {target: tuple over the target slice's basis};
         {} for an inexact column."""
         mod = self.module
         j = mod.offset[tuple(src)] + c
@@ -179,7 +186,7 @@ class WindowedMatrix:
         if other.module is not mod:
             raise ValueError("matrices act on different modules")
         inner = other.indices  # row k of each nonzero B[k, j]
-        outer_col = np.arange(mod.n).repeat(other.col_nnz)  # column j
+        outer_col = other.cols  # column j
         # Column j is inexact if B[:, j] touches a column inexact in A.
         flags = other.flags.copy()
         flags[outer_col[~self.flags[inner]]] = False
@@ -241,16 +248,24 @@ class WindowedMatrix:
             raise WindowEmpty(
                 f"joint validity window {window} below required {min_window}"
             )
+        compared = int((self.flags & other.flags).sum())
+        return self.first_difference(other) is None, window, compared
+
+    def first_difference(self, other: "WindowedMatrix") -> int | None:
+        """The first column, in basis order, exact in both matrices (of one
+        module) on which they differ, or None.  A column differs if its
+        nonzero counts differ, or else at the first aligned entry whose row
+        or value differs; the smaller of the two candidates is the answer."""
         both = self.flags & other.flags
-        mine, theirs = self.col_nnz, other.col_nnz
-        equal = np.array_equal(mine[both], theirs[both])
-        if equal:
-            # same nonzero counts: the entries of the compared columns align
-            sa, sb = np.repeat(both, mine), np.repeat(both, theirs)
-            equal = np.array_equal(
-                self.indices[sa], other.indices[sb]
-            ) and np.array_equal(self.data[sa], other.data[sb])
-        return bool(equal), window, int(both.sum())
+        uneven = both & (self.col_nnz != other.col_nnz)
+        same = both & ~uneven
+        sa, sb = same.repeat(self.col_nnz), same.repeat(other.col_nnz)
+        rows = self.indices[sa] != other.indices[sb]
+        entry = np.flatnonzero(rows | (self.data[sa] != other.data[sb]))
+        first = np.flatnonzero(uneven)[:1].tolist()
+        if len(entry):
+            first.append(int(self.cols[sa][entry[0]]))
+        return min(first) if first else None
 
 
 def _cached(module: TruncatedModule, kind: str, i: int, t: int, make) -> WindowedMatrix:
@@ -308,8 +323,7 @@ def _scaled(base: WindowedMatrix, t: int) -> WindowedMatrix:
     moves depth by exactly m, so it is scaled by t^m; zeros (t = 0, m > 0)
     are dropped."""
     mod, t = base.module, int(t)  # t**e of a numpy integer would wrap
-    cols = np.repeat(np.arange(mod.n), base.col_nnz)
-    m = np.abs(mod.depth_of[base.indices] - mod.depth_of[cols])
+    m = np.abs(mod.depth_of[base.indices] - mod.depth_of[base.cols])
     top = int(m.max()) if len(m) else 0
     power = np.array([t**e for e in range(top + 1)], dtype=object)
     if base.max_abs * abs(t) ** top < INT64_LIMIT:

@@ -3,9 +3,10 @@
 The twelve relation families (numbered R1-R12) are stored as the text of
 `kmgroups word` words (RELATIONS), instantiated over the nodes / node
 pairs of the diagram and checked as matrix identities in the truncated
-representation: _compare checks two evaluated matrices on every
-mutually exact column within their joint validity window, and a failure's
-witness is the first column on which they differ.  R11 carries an unresolved
+representation: equal_on_window checks two evaluated matrices on every
+mutually exact column within their joint validity window, and the witness
+of a reported failure is the first such column on which they differ
+(first_difference, the test that decided).  R11 carries an unresolved
 structure-constant sign, found by comparing its commutator side, evaluated
 once, with both candidates; it is None when both verify.
 
@@ -111,27 +112,6 @@ class RelationResult:
         return {k: v for k, v in out.items() if v is not None}
 
 
-def _compare(lhs, rhs, min_window):
-    """(equal, window, compared, witness) of the matrix lhs against rhs; the
-    witness is the first mutually exact column on which they differ, in
-    weight_keys() order."""
-    equal, window, compared = lhs.equal_on_window(rhs, min_window=min_window)
-    witness = None
-    if not equal:
-        k, c = next(
-            (k, c)
-            for k, flags in lhs.exact.items()
-            for c, ok in enumerate(flags)
-            if ok and rhs.exact[k][c] and lhs.column(k, c) != rhs.column(k, c)
-        )
-        witness = {
-            "column": {"depth_vector": list(k), "index": c},
-            "lhs_image": column_json(lhs.column(k, c)),
-            "rhs_image": column_json(rhs.column(k, c)),
-        }
-    return equal, window, compared, witness
-
-
 def column_json(col):
     """A column {target: entries}, as JSON sorted by target depth vector."""
     return [
@@ -141,17 +121,18 @@ def column_json(col):
 
 
 def _compare_signs(module: TruncatedModule, rid: str, nodes, min_window: int):
-    """({sign: _compare outcome}, the signs that verify) of a relation
-    instance, for the signs 1 and -1 of R11 and for 1 alone otherwise; the
-    left word does not depend on the sign and is evaluated once.  Raises
-    WindowEmpty if a joint window is below min_window."""
+    """(left matrix, {sign: (right matrix, equal_on_window outcome)}, signs
+    that verify) of a relation instance, for the signs 1 and -1 of R11 and 1
+    alone otherwise; the left word does not depend on the sign and is
+    evaluated once.  Raises WindowEmpty if a joint window is below min_window."""
     signs = (1, -1) if rid == "R11" else (1,)
     words = {sign: relation_words(rid, nodes, sign) for sign in signs}
     lhs = evaluate_word(module, words[1][0])
     outcomes = {}
     for sign, (_, rhs) in words.items():
-        outcomes[sign] = _compare(lhs, evaluate_word(module, rhs), min_window)
-    return outcomes, [sign for sign, out in outcomes.items() if out[0]]
+        mat = evaluate_word(module, rhs)
+        outcomes[sign] = mat, lhs.equal_on_window(mat, min_window=min_window)
+    return lhs, outcomes, [s for s, (_, out) in outcomes.items() if out[0]]
 
 
 def verify_relation(
@@ -159,14 +140,25 @@ def verify_relation(
 ) -> RelationResult:
     nodes = tuple(nodes)
     try:
-        outcomes, good = _compare_signs(module, rid, nodes, min_window)
+        lhs, outcomes, good = _compare_signs(module, rid, nodes, min_window)
     except WindowEmpty:
         return RelationResult(rid, nodes, "window_empty")
     # The verified sign's comparison, or the +1 one if none verifies.
-    equal, window, compared, witness = outcomes[good[0] if good else 1]
+    rhs, (equal, window, compared) = outcomes[good[0] if good else 1]
     sign = good[0] if rid == "R11" and len(good) == 1 else None
-    status = "verified" if equal else "failed"
-    return RelationResult(rid, nodes, status, window, compared, sign, witness)
+    if equal:
+        return RelationResult(rid, nodes, "verified", window, compared, sign)
+    # The witness: the first mutually exact column, in basis order, on
+    # which the two sides differ, with its two images.
+    j = lhs.first_difference(rhs)
+    k = module.keys[module.slice_of[j]]
+    c = j - module.offset[k]
+    witness = {
+        "column": {"depth_vector": list(k), "index": c},
+        "lhs_image": column_json(lhs.column(k, c)),
+        "rhs_image": column_json(rhs.column(k, c)),
+    }
+    return RelationResult(rid, nodes, "failed", window, compared, sign, witness)
 
 
 def resolve_commutator_sign(module: TruncatedModule, i: int, j: int) -> int | None:
@@ -174,7 +166,7 @@ def resolve_commutator_sign(module: TruncatedModule, i: int, j: int) -> int | No
     or None when both signs verify (the truncation cannot tell them apart)."""
     if not module.gcm.adjacent(i, j):
         raise ValueError(f"nodes {i}, {j} are not adjacent")
-    _, good = _compare_signs(module, "R11", (i, j), min_window=0)
+    *_, good = _compare_signs(module, "R11", (i, j), min_window=0)
     if not good:
         raise SignNone(f"neither sign verifies for pair ({i}, {j})")
     return good[0] if len(good) == 1 else None

@@ -102,7 +102,7 @@ class TruncatedModule:
     pairing below); generators caches the group elements over that basis
     and their shared identity (see groupgen)."""
 
-    keys: list[tuple[int, ...]]  # weight_keys()
+    keys: list[tuple[int, ...]]  # nonzero weight spaces, (depth, lex) order
     offset: dict[tuple[int, ...], int]  # index of each slice's first vector
     n: int  # total rank
     # per basis vector: its slice (an index into keys) and its depth
@@ -121,10 +121,6 @@ class TruncatedModule:
         self.generators: dict = {}  # (kind, node, scalar) -> WindowedMatrix
 
     # -- weights ----------------------------------------------------------
-
-    def weight_keys(self) -> list[tuple[int, ...]]:
-        """All depth vectors with a nonzero weight space, in (depth, lex) order."""
-        return self.keys
 
     def _in_range(self, depth_vector) -> tuple[int, ...]:
         """depth_vector as a tuple; SliceOutOfRange outside the truncation."""
@@ -316,17 +312,16 @@ def module_to_json(module: TruncatedModule) -> dict:
             "depth": sum(k),
             "rank": module.slices[k].rank,
         }
-        for k in module.weight_keys()
+        for k in module.keys
     ]
     operators = []
     for (sign, i, m) in sorted(module.ops):
         for k in sorted(module.ops[(sign, i, m)], key=lambda k: (sum(k), k)):
             block = module.ops[(sign, i, m)][k]
+            rows, cols = np.nonzero(block)  # row-major order
             triplets = [
-                [r, c, int(block[r, c])]
-                for r in range(block.shape[0])
-                for c in range(block.shape[1])
-                if block[r, c]
+                [r, c, int(v)]
+                for r, c, v in zip(rows.tolist(), cols.tolist(), block[rows, cols])
             ]
             if triplets:
                 operators.append(

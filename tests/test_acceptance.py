@@ -119,7 +119,7 @@ def test_05_zform_integrality(rank4_modules):
             for v in blk.flat:
                 assert isinstance(v, (int, np.integer)), (op, i, power, k)
     # [e_i, f_i] = h_i on interior slices
-    for k in m.weight_keys():
+    for k in m.keys:
         if sum(k) + 1 > m.depth:
             continue
         for i in range(4):
@@ -142,7 +142,7 @@ def test_05_zform_integrality(rank4_modules):
     # m! f^(m) = f^m for m <= 4
     for i in range(4):
         for power in range(1, 5):
-            for k in m.weight_keys():
+            for k in m.keys:
                 tgt = tuple(
                     c + (power if j == i else 0) for j, c in enumerate(k)
                 )

@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from kmgroups.cartan import e_gcm, gcm_to_json, path_gcm, triangle_with_pendant_gcm
-from kmgroups.cli import EXIT_OK, EXIT_WINDOW_EMPTY, main
+from kmgroups.cli import EXIT_OK, EXIT_RELATION_FAILED, EXIT_WINDOW_EMPTY, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -104,3 +104,49 @@ def test_word_output_matches_golden(capsys, tmp_path, diagram, lam, depth, word)
     assert code == EXIT_OK
     out = capsys.readouterr().out.encode()
     assert out == (GOLDEN_DIR / f"word_{diagram}_d{depth}.json").read_bytes()
+
+
+# (diagram, lambda, depth, relation, left word): `kmgroups verify` output,
+# stored as JSON, with the left word of every instance of the relation
+# replaced, so that those instances fail (exit 3) and report a witness.  The
+# A2 left word is R2's extended by X{i}(1).  The rank-4 one is R11's
+# commutator at the scalar 2, so that neither sign verifies and the two
+# signs' witnesses differ: the +1 outcome is the one reported.
+SABOTAGED = [
+    ("a2", "1,1", 4, "R2", "S{i}^2 X{i}(1) S{i}^-2 X{i}(-1) X{i}(1)"),
+    ("rank4", "1,1,1,1", 5, "R11", "X{i}(2) X{j}(1) X{i}(-2) X{j}(-1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "diagram,lam,depth,rid,left",
+    SABOTAGED,
+    ids=[f"witness-{g}-d{d}-{r}" for g, _, d, r, _ in SABOTAGED],
+)
+def test_witness_output_matches_golden(
+    capsys, tmp_path, monkeypatch, diagram, lam, depth, rid, left
+):
+    import kmgroups.verifier as verifier
+
+    real = verifier.relation_words
+
+    def sabotage(r, nodes, sign=1):
+        lhs, rhs = real(r, nodes, sign)
+        if r == rid:
+            text = left.format(i=nodes[0] + 1, j=nodes[-1] + 1)
+            lhs = verifier.parse_word(text, max(nodes) + 1)
+        return lhs, rhs
+
+    monkeypatch.setattr(verifier, "relation_words", sabotage)
+    gcm_path = tmp_path / f"{diagram}.json"
+    gcm_path.write_text(json.dumps(gcm_to_json(DIAGRAMS[diagram])))
+    code = main(
+        ["verify", "--gcm", str(gcm_path), "--lambda", lam, "--depth", str(depth)]
+    )
+    assert code == EXIT_RELATION_FAILED
+    out = capsys.readouterr().out.encode()
+    failed = [r for r in json.loads(out)["relations"] if r["status"] != "verified"]
+    assert failed and all(r["id"] == rid and "witness" in r for r in failed)
+    assert all("sign" not in r for r in failed)
+    golden = GOLDEN_DIR / f"witness_{diagram}_d{depth}_{rid}.json"
+    assert out == golden.read_bytes()

@@ -45,7 +45,7 @@ def test_chi_plus_exact_everywhere(a2):
     # unipotent: blocks only move depth down, identity on the diagonal
     for (tgt, src) in x.blocks:
         assert sum(tgt) <= sum(src)
-    for k in a2.weight_keys():
+    for k in a2.keys:
         blk = x.blocks[(k, k)]
         r = a2.rank_at(k)
         assert all(
@@ -107,7 +107,7 @@ def test_w_tilde_permutes_weight_spaces(a2):
 
 def test_h_diagonal_with_parity_signs(a2):
     h = h_element(a2, 0, -1)
-    for k in a2.weight_keys():
+    for k in a2.keys:
         if sum(k) > h.valid_depth():
             continue
         r = a2.rank_at(k)
@@ -157,7 +157,7 @@ def test_chi_minus_flags_are_sharp(case):
     high = build_module(gcm, DominantWeight(lam), d + 1)
     for i in range(gcm.rank):
         y = chi_minus(low, i, 1)
-        for k in low.weight_keys():
+        for k in low.keys:
             for c in range(low.rank_at(k)):
                 image = {k: tuple(int(a == c) for a in range(low.rank_at(k)))}
                 for m in range(1, d + 2 - sum(k)):
@@ -172,7 +172,7 @@ def test_chi_minus_flags_are_sharp(case):
 def test_compose_flags_are_conservative(a2):
     y = chi_minus(a2, 0, 1)
     prod = y @ y
-    for k in a2.weight_keys():
+    for k in a2.keys:
         for c in range(a2.rank_at(k)):
             if prod.exact[k][c]:
                 # exact columns of a product of exact columns only
@@ -193,9 +193,9 @@ def test_evaluate_word_and_generator_matrix(a2):
 
 def _dense(mat):
     """mat as one dense integer matrix over the basis [(k, a), ...] in
-    weight_keys() order, with its flags as one list."""
+    keys order, with its flags as one list."""
     mod = mat.module
-    basis = [(k, a) for k in mod.weight_keys() for a in range(mod.rank_at(k))]
+    basis = [(k, a) for k in mod.keys for a in range(mod.rank_at(k))]
     pos = {b: n for n, b in enumerate(basis)}
     dense = np.zeros((len(basis), len(basis)), dtype=object)
     for (tgt, src), blk in mat.blocks.items():
@@ -231,7 +231,7 @@ def _reference_column(mat, src, c):
     basis, dense, _ = _dense(mat)
     j = basis.index((src, c))
     out = {}
-    for tgt in mat.module.weight_keys():
+    for tgt in mat.module.keys:
         rows = [i for i, (k, _) in enumerate(basis) if k == tgt]
         col = tuple(int(dense[i, j]) for i in rows)
         if any(col):
@@ -257,7 +257,7 @@ def _assert_matches_reference(left, right):
                    for c in range(blk.shape[1]) if blk[a, c]}
         assert nonzero == entries
     assert np.repeat(prod.flags, np.diff(prod.indptr)).all()
-    for k in prod.module.weight_keys():
+    for k in prod.module.keys:
         for c in range(prod.module.rank_at(k)):
             assert prod.column(k, c) == _reference_column(prod, k, c)
     return prod
@@ -364,6 +364,70 @@ def test_exact_columns_survive_one_more_layer(gcm, lam, depth, n_words, n_exact)
     assert exact == n_exact  # the check is not idle
 
 
+
+def _reference_first_difference(lhs, rhs):
+    """(slice, index) of the first mutually exact column, in keys order, on
+    which the column reads of lhs and rhs differ; None if there is none."""
+    return next(
+        (
+            (k, c)
+            for k, flags in lhs.exact.items()
+            for c, ok in enumerate(flags)
+            if ok and rhs.exact[k][c] and lhs.column(k, c) != rhs.column(k, c)
+        ),
+        None,
+    )
+
+
+# words whose scalar 10^12 makes their data object, met by int64 data
+BIG_WORDS = [
+    "X1(1000000000000) S2",
+    "S2 X1(1000000000000)",
+    "Y2(-1000000000000) X1(1)",
+    "X1(1000000000000) S2 Y1(-1000000000000)",
+]
+
+
+@pytest.mark.parametrize(
+    "gcm,lam,depth,n_unequal",
+    [
+        (triangle_with_pendant_gcm(), (1, 1, 1, 1), 5, 151),
+        (e_gcm(10), (1,) * 10, 3, 247),
+    ],
+    ids=["rank4-d5", "e10-d3"],
+)
+def test_first_difference_matches_a_column_scan(gcm, lam, depth, n_unequal):
+    # the pairs: both sides of every relation instance (both R11 signs),
+    # consecutive distinct relation words, and the 10^12 words against each
+    # other and against the first relation words
+    mod = build_module(gcm, DominantWeight(lam), depth)
+    pairs = [
+        relation_words(rid, nodes, sign)
+        for rid, nodes in relation_instances(gcm)
+        for sign in ((1, -1) if rid == "R11" else (1,))
+    ]
+    words = list(dict.fromkeys(tuple(w) for pair in pairs for w in pair))
+    pairs += list(zip(words, words[1:]))
+    big = [tuple(parse_word(text, gcm.rank)) for text in BIG_WORDS]
+    pairs += [(a, b) for a in big for b in big + words[:20] if a != b]
+    mats = {}
+    unequal = 0
+    for pair in pairs:
+        lhs, rhs = (mats.setdefault(tuple(w), evaluate_word(mod, w)) for w in pair)
+        j = lhs.first_difference(rhs)
+        expected = _reference_first_difference(lhs, rhs)
+        if j is None:
+            assert expected is None
+        else:
+            unequal += 1
+            k = mod.keys[mod.slice_of[j]]
+            assert (k, j - mod.offset[k]) == expected
+        if min(lhs.valid_depth(), rhs.valid_depth()) >= 0:
+            assert lhs.equal_on_window(rhs)[0] == (j is None)
+    assert unequal == n_unequal  # the check is not idle
+    kinds = {mats[w].data.dtype == object for w in big + words}
+    assert kinds == {True, False}
+
 def test_product_switches_to_object_data_at_the_int64_bound():
     # sl2, V^(1) at depth 1, basis (v, f v): chi_plus(t) = [[1, t], [0, 1]]
     # and chi_minus(u) = [[1, 0], [u, 1]].  The first column of chi_minus(u)
@@ -396,7 +460,7 @@ def _reference_chi(mod, sign, i, t, flags):
     e_i^(m) or f_i^(m), read column by column off the Z-form, on the
     columns the flags mark exact."""
     out = {}
-    for k in mod.weight_keys():
+    for k in mod.keys:
         for c in range(mod.rank_at(k)):
             j = mod.offset[k] + c
             if not flags[j]:

@@ -7,6 +7,7 @@ failing any other test.  The module is loaded from its file, without
 writing bytecode next to it.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -18,7 +19,8 @@ from kmgroups.cartan import path_gcm
 from kmgroups.groupgen import chi_minus, chi_plus
 from kmgroups.weightmod import DominantWeight, build_module
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +68,15 @@ def test_build_hook_reads_the_module(tracing):
         len(s.monomials) for s in module.slices.values()
     )
     assert metrics["weightmod.max_entry_bits"] >= 1
+
+
+def test_the_package_reads_no_tracer_only_view():
+    # .exact and .blocks are kept for the tracer and the tests alone, so
+    # that they can go without a change to the package
+    reads = [
+        (path.name, node.lineno, node.attr)
+        for path in sorted((ROOT / "src" / "kmgroups").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("exact", "blocks")
+    ]
+    assert not reads

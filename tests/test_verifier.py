@@ -156,15 +156,20 @@ def test_window_empty_status():
     assert res.status == "window_empty"
 
 
-def test_failure_produces_witness(a2):
+def test_failure_produces_witness(a2, monkeypatch):
     # a deliberately false identity: S_i = X_i
-    from kmgroups.verifier import _compare, evaluate_word
+    import kmgroups.verifier as verifier
 
-    lhs, rhs = evaluate_word(a2, [_S(0)]), evaluate_word(a2, [_X(0)])
-    equal, window, compared, witness = _compare(lhs, rhs, 0)
-    assert not equal
+    def false_identity(rid, nodes, sign=1):
+        return [_S(nodes[0])], [_X(nodes[0])]
+
+    monkeypatch.setattr(verifier, "relation_words", false_identity)
+    res = verify_relation(a2, "R1", (0,))
+    assert res.status == "failed"
+    witness = res.witness
     assert witness is not None
     assert "column" in witness and "lhs_image" in witness and "rhs_image" in witness
+    assert res.to_json()["witness"] == witness
 
 
 # -- kernel probe -----------------------------------------------------------
@@ -273,7 +278,7 @@ def test_kernel_parity_table_matches_per_weight_rule(case):
         for subset in map(sorted, _subsets(gcm.rank))
         if all(
             sum(m.coroot_pairing(k, i) for i in subset) % 2 == 0
-            for k in m.weight_keys()
+            for k in m.keys
         )
     ]
     assert 0 < len(trivial) < 2**gcm.rank
